@@ -15,6 +15,7 @@ import (
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
 	"genomedsm/internal/dbpack"
+	"genomedsm/internal/dispatch"
 	"genomedsm/internal/experiments"
 	"genomedsm/internal/heuristics"
 	"genomedsm/internal/search"
@@ -386,11 +387,13 @@ func BenchmarkSearchDatabaseMixedFixed(b *testing.B) {
 
 // BenchmarkSearchDatabaseMixedLanes16 is the other single-route
 // baseline on the mixed workload: every group forced down the int16
-// word-pass, the right call for the homologs and a ~2× loss on the
-// short noise.
+// word-pass (4-lane subgroups), the right call for the homologs and a
+// ~2× loss on the short noise.
 func BenchmarkSearchDatabaseMixedLanes16(b *testing.B) {
 	q, db, cells := benchMixedDB()
-	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Lanes: 16})
+	r := dispatch.New(dispatch.ModeAuto, nil)
+	r.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	benchSearch(b, q, db, cells, search.Options{NoEndpoints: true, Router: r})
 }
 
 // benchSkewedDB builds the skewed search workload the pruning gate is
@@ -661,7 +664,7 @@ func benchPackColdStart(b *testing.B, format string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := search.RunCtx(context.Background(), q, p.DB, search.Options{NoEndpoints: true, Lanes: 8}); err != nil {
+		if _, err := search.RunCtx(context.Background(), q, p.DB, search.Options{NoEndpoints: true, Dispatch: "fixed"}); err != nil {
 			b.Fatal(err)
 		}
 		if err := p.Close(); err != nil {

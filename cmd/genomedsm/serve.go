@@ -111,8 +111,7 @@ func serveCmd(args []string, w io.Writer) error {
 		match    = fs.Int("match", 1, "match reward")
 		mismatch = fs.Int("mismatch", -1, "mismatch penalty (negative)")
 		gap      = fs.Int("gap", -2, "gap penalty (negative)")
-		lanes    = fs.Int("lanes", 0, "default kernel: 0 adaptive dispatch, 8 int8, 16 int16, 1 scalar")
-		disp     = fs.String("dispatch", "auto", "default kernel routing when -lanes=0: auto, fixed, scalar")
+		disp     = fs.String("dispatch", "auto", "default kernel routing: auto, fixed, scalar")
 		prune    = fs.Bool("prune", true, "default exact top-K pruning")
 		prefilt  = fs.Bool("prefilter", false, "default blast-seeded pruning floor (uses the pack's word index)")
 		shards   = fs.Int("shards", 0, "scatter every scan across N in-process shards with gossiped pruning floors (0 or 1 = single-node)")
@@ -161,7 +160,6 @@ func serveCmd(args []string, w io.Writer) error {
 			Scoring:   genomedsm.Scoring{Match: *match, Mismatch: *mismatch, Gap: *gap},
 			TopK:      *k,
 			Workers:   *workers,
-			Lanes:     *lanes,
 			Dispatch:  mode.String(),
 			Prune:     *prune,
 			Prefilter: *prefilt,

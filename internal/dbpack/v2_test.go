@@ -12,9 +12,18 @@ import (
 	"unsafe"
 
 	"genomedsm/internal/bio"
+	"genomedsm/internal/dispatch"
 	"genomedsm/internal/search"
 	"genomedsm/internal/shard"
 )
+
+// inter16Router pins every lane group to the int16 route: two 4-lane
+// word-passes per 8-record group.
+func inter16Router() *dispatch.Router {
+	r := dispatch.New(dispatch.ModeAuto, nil)
+	r.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	return r
+}
 
 // alignedCopy copies blob into an 8-aligned buffer — the alignment
 // guarantee mmap and readAligned provide — so tests can call decodeV2
@@ -328,11 +337,11 @@ func TestV2ForgedLayoutSection(t *testing.T) {
 			t.Fatalf("%s: rebuilt layout invalid: %v", tc.name, err)
 		}
 		q := bio.Sequence("ACGTACGTACGTACGT")
-		got, err := search.RunCtx(context.Background(), q, p.DB, search.Options{Lanes: 8})
+		got, err := search.RunCtx(context.Background(), q, p.DB, search.Options{Dispatch: "fixed"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := search.Run(q, testRecords(), search.Options{Lanes: 8})
+		want, err := search.Run(q, testRecords(), search.Options{Dispatch: "fixed"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,11 +386,11 @@ func TestOpenLegacyV1(t *testing.T) {
 		t.Error("legacy load dropped the word index")
 	}
 	q := bio.Sequence("ACGTACGTACGT")
-	a, err := search.RunCtx(context.Background(), q, got.DB, search.Options{Lanes: 8})
+	a, err := search.RunCtx(context.Background(), q, got.DB, search.Options{Dispatch: "fixed"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := search.Run(q, testRecords(), search.Options{Lanes: 8})
+	b, err := search.Run(q, testRecords(), search.Options{Dispatch: "fixed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,12 +446,12 @@ func TestV2SearchDifferential(t *testing.T) {
 		name string
 		opt  search.Options
 	}{
-		{"inter8", search.Options{Lanes: 8, TopK: 8}},
-		{"inter8 pruned", search.Options{Lanes: 8, TopK: 8, Prune: true}},
+		{"inter8", search.Options{Dispatch: "fixed", TopK: 8}},
+		{"inter8 pruned", search.Options{Dispatch: "fixed", TopK: 8, Prune: true}},
 		{"pruned prefiltered", search.Options{TopK: 8, Prune: true, Prefilter: true}},
-		{"dispatch fixed", search.Options{TopK: 8, Dispatch: "fixed"}},
-		{"int16", search.Options{Lanes: 16, TopK: 8}},
-		{"scalar", search.Options{Lanes: 1, TopK: 8}},
+		{"dispatch auto", search.Options{TopK: 8, Dispatch: "auto"}},
+		{"int16", search.Options{Router: inter16Router(), TopK: 8}},
+		{"scalar", search.Options{Dispatch: "scalar", TopK: 8}},
 	} {
 		got, err := search.RunCtx(ctx, q, opened.DB, tc.opt)
 		if err != nil {
@@ -463,11 +472,11 @@ func TestV2SearchDifferential(t *testing.T) {
 
 	// Batch mode over the pack.
 	queries := []search.BatchQuery{{Seq: q}, {Seq: q[:90]}, {Seq: q[40:]}}
-	gb, err := search.RunBatch(ctx, queries, opened.DB, search.Options{Lanes: 8, TopK: 6})
+	gb, err := search.RunBatch(ctx, queries, opened.DB, search.Options{Dispatch: "fixed", TopK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := search.RunBatch(ctx, queries, fresh, search.Options{Lanes: 8, TopK: 6})
+	wb, err := search.RunBatch(ctx, queries, fresh, search.Options{Dispatch: "fixed", TopK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,9 @@ type Router struct {
 	// ForceGroup and ForcePair are test hooks: when non-nil they
 	// override the cost model entirely, letting the differential and
 	// fuzz suites steer the scan down adversarially wrong routes to
-	// prove results are routing-independent. Never set outside tests.
+	// prove results are routing-independent, and the benchmarks pin a
+	// single route (the forced int16 comparator). Never set outside
+	// tests and benchmarks.
 	ForceGroup func(qLen int, lens []int) (GroupRoute, bool)
 	ForcePair  func(m, n int) (PairRoute, bool)
 }

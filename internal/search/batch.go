@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -122,24 +121,9 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	lanes := bio.PackedLanes8
-	switch opt.Lanes {
-	case 0, 8:
-		// adaptive routing (0) and the forced int8 chain (8) both pack
-		// groups of 8 records
-	case 16:
-		lanes = bio.PackedLanes16
-	case 1:
-		lanes = 1
-	default:
-		return nil, fmt.Errorf("search: lanes must be 8, 16 or 1, got %d", opt.Lanes)
-	}
-	var router *dispatch.Router
-	if opt.Lanes == 0 {
-		var err error
-		if router, err = routerFor(opt); err != nil {
-			return nil, err
-		}
+	router, err := routerFor(opt)
+	if err != nil {
+		return nil, err
 	}
 	if len(queries) == 0 {
 		return nil, nil
@@ -168,14 +152,12 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 		if st.minScore == 0 {
 			st.minScore = opt.MinScore
 		}
-		if router != nil {
-			st.scan = router.NewScan()
-		}
+		st.scan = router.NewScan()
 		if opt.Prune {
 			st.qb = bio.NewQueryBound(bq.Seq, sc)
 			st.ft = newFloorTracker(st.k)
 			if opt.Prefilter && !st.done() {
-				seedFloorDB(st.ft, bq.Seq, db, sc, word, st.minScore)
+				seedFloor(st.ft, bq.Seq, db, sc, word, st.minScore)
 			}
 		}
 		states[i] = st
@@ -185,13 +167,7 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	groups := db.groups(lanes)
-	// The precomputed lane layout applies only to the 8-lane group cut it
-	// was built for; 16-lane and scalar cuts regroup records.
-	var lay *Layout
-	if lanes == bio.PackedLanes8 {
-		lay = db.layout
-	}
+	groups := db.groups()
 	if workers > len(groups) && len(groups) > 0 {
 		workers = len(groups)
 	}
@@ -216,8 +192,8 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 			pstats[w] = make([]PruneStats, nq)
 			procRecs[w] = make([]int, nq)
 			procCells[w] = make([]int64, nq)
-			targets := make([]bio.Sequence, 0, lanes)
-			kept := make([]int, 0, lanes)
+			targets := make([]bio.Sequence, 0, bio.PackedLanes8)
+			kept := make([]int, 0, bio.PackedLanes8)
 			gp := &groupProf{sc: sc}
 			for gi := range work {
 				group := groups[gi]
@@ -235,10 +211,10 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 				// layout words when the DB carries them. Singleton groups
 				// take the striped path and never need it.
 				use := (*groupProf)(nil)
-				if lanes == bio.PackedLanes8 && len(group) > 1 {
+				if len(group) > 1 {
 					gp.reset(db, group)
-					if lay != nil {
-						gp.words = lay.GroupWords(gi)
+					if db.layout != nil {
+						gp.words = db.layout.GroupWords(gi)
 					}
 					use = gp
 				}
@@ -246,7 +222,7 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 					if st.done() {
 						continue
 					}
-					err := scanGroupFor(&al, st, db, group, sc, opt, lanes,
+					err := scanGroupFor(&al, st, db, group, sc, opt,
 						heaps[w][qi], &pstats[w][qi], &padded[w][qi], targets, kept, use)
 					if err != nil {
 						errs[w] = err
@@ -389,10 +365,10 @@ func (g *groupProf) profile() *bio.PackedProfile {
 }
 
 // scanGroupFor scores one lane group for one query: stage-1 record
-// skipping against the query's floor, the kernel route (adaptive,
-// bounded or plain), and the heap/floor pushes. This is the body of the
-// original single-query Run worker, parameterized by query state.
-func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scoring, opt Options, lanes int,
+// skipping against the query's floor, the routed kernel ladder, and the
+// heap/floor pushes. This is the body of the original single-query Run
+// worker, parameterized by query state.
+func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scoring, opt Options,
 	heap *topK, ps *PruneStats, padded *int64, targets []bio.Sequence, kept []int, gp *groupProf) error {
 	q := st.q
 	targets = targets[:0]
@@ -435,54 +411,24 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 		// from the compacted targets as before.
 		gp = nil
 	}
-	maxLen := 0
 	for _, idx := range kept {
-		t := db.recs[idx].Seq
-		targets = append(targets, t)
-		if len(t) > maxLen {
-			maxLen = len(t)
-		}
+		targets = append(targets, db.recs[idx].Seq)
 	}
-	var scores []int
-	var prunedMask []bool
-	var rowsScanned []int
-	var err error
-	if st.scan != nil {
-		// Adaptive path: the router picks the route and the scorer
-		// reports the padded cells that route computed.
-		var pad int64
-		scores, prunedMask, rowsScanned, pad, err = scoreGroupRouted(al, q, targets, sc, st.scan, ab, gp)
-		*padded += pad
-	} else if opt.Prune {
-		scores, prunedMask, rowsScanned, err = scoreGroupBounded(al, q, targets, sc, opt.Lanes, ab, gp)
-	} else {
-		scores, err = scoreGroup(al, q, targets, sc, opt.Lanes, gp)
-	}
+	res, err := scoreGroupRouted(al, q, targets, sc, st.scan, ab, gp)
 	if err != nil {
 		return err
 	}
-	if st.scan == nil {
-		rowsUsed := len(q)
-		if rowsScanned != nil {
-			rowsUsed = 0
-			for _, r := range rowsScanned {
-				if r > rowsUsed {
-					rowsUsed = r
-				}
-			}
-		}
-		*padded += int64(lanes) * int64(maxLen) * int64(rowsUsed)
-	}
+	*padded += res.Padded
 	for i, idx := range kept {
-		if prunedMask != nil && prunedMask[i] {
+		if res.Pruned[i] {
 			ps.Abandoned++
-			ps.CellsSaved += int64(len(q)-rowsScanned[i]) * int64(len(targets[i]))
+			ps.CellsSaved += int64(len(q)-res.Rows[i]) * int64(len(targets[i]))
 			continue
 		}
 		if opt.Prune {
 			ps.Scanned++
 		}
-		if s := scores[i]; s > 0 && s >= st.minScore {
+		if s := res.Scores[i]; s > 0 && s >= st.minScore {
 			heap.push(Hit{Index: idx, ID: db.recs[idx].ID, Score: s})
 			if st.ft != nil {
 				st.ft.push(s, idx)
@@ -493,27 +439,4 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 		}
 	}
 	return nil
-}
-
-// seedFloorDB is seedFloor over a prepared DB: when the database carries
-// a word index of the right word size, the prefilter looks the query up
-// in it — one pass over the query instead of one pass over every record
-// — and otherwise falls back to the per-run query-side index. Both
-// produce true lower bounds, so either way the hit set is unchanged.
-func seedFloorDB(ft *floorTracker, q bio.Sequence, db *DB, sc bio.Scoring, word, minScore int) {
-	ix := db.ix
-	if ix == nil || ix.Word() != word {
-		seedFloor(ft, q, db.recs, sc, word, minScore)
-		return
-	}
-	ft.dedup = true
-	lo := minScore
-	if lo < 1 {
-		lo = 1
-	}
-	for i, lb := range ix.SeedScores(q, sc, 0) {
-		if lb >= lo {
-			ft.push(lb, i)
-		}
-	}
 }

@@ -111,8 +111,10 @@ func (d *DB) Size() int { return len(d.recs) }
 // TotalBases returns the summed record lengths.
 func (d *DB) TotalBases() int64 { return d.total }
 
-// groups cuts the canonical order into consecutive lane groups.
-func (d *DB) groups(lanes int) [][]int {
+// groups cuts the canonical order into consecutive lane groups of
+// bio.PackedLanes8 records.
+func (d *DB) groups() [][]int {
+	const lanes = bio.PackedLanes8
 	out := make([][]int, 0, (len(d.order)+lanes-1)/lanes)
 	for lo := 0; lo < len(d.order); lo += lanes {
 		out = append(out, d.order[lo:min(lo+lanes, len(d.order))])

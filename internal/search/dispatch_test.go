@@ -19,18 +19,16 @@ func forceRouter(groupRoute dispatch.GroupRoute, pairRoute dispatch.PairRoute) *
 	return r
 }
 
-// installForced routes this test's Run calls (testRouter) and its
-// realign align.Scan calls (the process-wide active router) down the
-// forced routes, restoring both on cleanup. Tests in this package do
-// not run in parallel, so mutating the globals is safe.
-func installForced(t *testing.T, r *dispatch.Router) {
+// installForced routes this test's realign align.Scan calls (the
+// process-wide active router, which has no options path) down r's
+// forced pair route, restoring the default on cleanup, and returns r
+// for the scan's Options.Router. Tests in this package do not run in
+// parallel, so mutating the global is safe.
+func installForced(t *testing.T, r *dispatch.Router) *dispatch.Router {
 	t.Helper()
-	testRouter = r
 	dispatch.SetActive(r)
-	t.Cleanup(func() {
-		testRouter = nil
-		dispatch.SetActive(nil)
-	})
+	t.Cleanup(func() { dispatch.SetActive(nil) })
+	return r
 }
 
 var allGroupRoutes = []dispatch.GroupRoute{
@@ -56,17 +54,13 @@ func TestDispatchForcedRoutesBitExact(t *testing.T) {
 		{Match: 7000, Mismatch: -7000, Gap: -9000}, // int16-only
 	}
 	for si, sc := range scorings {
-		// Reference: the legacy scalar lane path, no router involved.
-		want, err := Run(q, db, Options{Scoring: sc, TopK: 8, Lanes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Reference: the scalar align.Scan oracle, no router involved.
+		want := scalarRef(t, q, db, Options{Scoring: sc, TopK: 8})
 		for _, gr := range allGroupRoutes {
 			for _, pr := range allPairRoutes {
 				name := fmt.Sprintf("scoring%d/%v/%v", si, gr, pr)
-				installForced(t, forceRouter(gr, pr))
-				got, err := Run(q, db, Options{Scoring: sc, TopK: 8})
-				testRouter = nil
+				r := installForced(t, forceRouter(gr, pr))
+				got, err := Run(q, db, Options{Scoring: sc, TopK: 8, Router: r})
 				dispatch.SetActive(nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -97,10 +91,7 @@ func TestDispatchOptionModes(t *testing.T) {
 	g := bio.NewGenerator(81)
 	q := g.Random(300)
 	db := testDB(t, 82, q, 20, 6)
-	want, err := Run(q, db, Options{TopK: 6, Lanes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := scalarRef(t, q, db, Options{TopK: 6})
 	for _, mode := range []string{"", "auto", "fixed", "scalar"} {
 		got, err := Run(q, db, Options{TopK: 6, Dispatch: mode})
 		if err != nil {
@@ -118,10 +109,10 @@ func TestDispatchOptionModes(t *testing.T) {
 	if _, err := Run(q, db, Options{TopK: 6, Dispatch: "warp"}); err == nil {
 		t.Fatal("unknown dispatch mode accepted")
 	}
-	// An explicit lane count bypasses routing; Dispatch is ignored, not
-	// an error, even when invalid.
-	if _, err := Run(q, db, Options{TopK: 6, Lanes: 16, Dispatch: "warp"}); err != nil {
-		t.Fatalf("explicit lanes should ignore dispatch: %v", err)
+	// An explicit router bypasses the mode; Dispatch is ignored, not an
+	// error, even when invalid.
+	if _, err := Run(q, db, Options{TopK: 6, Router: inter16Router(), Dispatch: "warp"}); err != nil {
+		t.Fatalf("explicit router should ignore dispatch: %v", err)
 	}
 }
 
@@ -134,14 +125,10 @@ func TestDispatchPrunedForcedRoutes(t *testing.T) {
 	q := g.Random(200)
 	db := testDB(t, 92, q, 30, 10)
 	sc := bio.Scoring{Match: 25, Mismatch: -2, Gap: -3}
-	want, err := Run(q, db, Options{Scoring: sc, TopK: 5, Lanes: 1, NoEndpoints: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := scalarRef(t, q, db, Options{Scoring: sc, TopK: 5, NoEndpoints: true})
 	for _, gr := range allGroupRoutes {
-		installForced(t, forceRouter(gr, dispatch.PairScalar))
-		got, err := Run(q, db, Options{Scoring: sc, TopK: 5, Prune: true, NoEndpoints: true})
-		testRouter = nil
+		r := installForced(t, forceRouter(gr, dispatch.PairScalar))
+		got, err := Run(q, db, Options{Scoring: sc, TopK: 5, Prune: true, NoEndpoints: true, Router: r})
 		dispatch.SetActive(nil)
 		if err != nil {
 			t.Fatalf("%v: %v", gr, err)
@@ -165,7 +152,7 @@ func TestDispatchPrunedForcedRoutes(t *testing.T) {
 // FuzzDispatchVsScalar fuzzes the routing layer the same way
 // FuzzPrunedSearchVsFull fuzzes pruning: fuzzer-chosen databases,
 // queries and scorings run down a fuzzer-forced (usually wrong) route
-// and must match the scalar lane path bit-exactly.
+// and must match the scalar reference bit-exactly.
 func FuzzDispatchVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgtacgtacgt"), []byte("tacgtacgtttacgacgtacgtacgacgt"), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte("aaaaaaaaaaaaaaaa"), []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(1), uint8(1), uint8(5))
@@ -208,19 +195,13 @@ func FuzzDispatchVsScalar(f *testing.F) {
 			opt.MinScore = sc.Match * 2
 		}
 
-		ref := opt
-		ref.Lanes = 1
-		want, err := Run(q, db, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := scalarRef(t, q, db, opt)
 
 		gr := allGroupRoutes[int(routeByte)%len(allGroupRoutes)]
 		pr := allPairRoutes[int(routeByte/4)%len(allPairRoutes)]
-		testRouter = forceRouter(gr, pr)
-		dispatch.SetActive(testRouter)
+		opt.Router = forceRouter(gr, pr)
+		dispatch.SetActive(opt.Router)
 		got, err := Run(q, db, opt)
-		testRouter = nil
 		dispatch.SetActive(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +216,52 @@ func FuzzDispatchVsScalar(f *testing.F) {
 				t.Fatalf("route %v/%v hit %d: routed %+v, scalar %+v", gr, pr, i, got.Hits[i], want.Hits[i])
 			}
 		}
-		if got.PaddedCells < got.Cells {
-			t.Fatalf("route %v/%v: padded %d < cells %d", gr, pr, got.PaddedCells, got.Cells)
+		// Pruning shrinks the padded cells by the skipped and abandoned
+		// work, so the computed plus the provably saved cells cover the
+		// matrix.
+		saved := int64(0)
+		if got.Prune != nil {
+			saved = got.Prune.CellsSaved
+		}
+		if got.PaddedCells+saved < got.Cells {
+			t.Fatalf("route %v/%v: padded %d + saved %d < cells %d", gr, pr, got.PaddedCells, saved, got.Cells)
 		}
 	})
+}
+
+// TestAutoRouteCountsPinned pins the lane-group routing decisions of
+// one single-worker auto scan over a mixed database: noise records, a
+// block of saturating homologs and a ragged short tail. The router uses
+// the static default profile, so the counts depend only on the cost
+// model and the saturation feedback the scorer reports — a refactor of
+// the scoring path that changes any routing decision (or the feedback
+// counts behind it) changes these numbers.
+func TestAutoRouteCountsPinned(t *testing.T) {
+	g := bio.NewGenerator(111)
+	q := g.Random(400)
+	var db []bio.Record
+	for i := 0; i < 40; i++ {
+		db = append(db, bio.Record{ID: fmt.Sprintf("noise%d", i), Seq: g.Random(150 + i*37%350)})
+	}
+	for i := 0; i < 24; i++ {
+		db = append(db, bio.Record{ID: fmt.Sprintf("sat%d", i), Seq: g.MutatedCopy(q, bio.DefaultMutationModel())})
+	}
+	for i := 0; i < 5; i++ {
+		db = append(db, bio.Record{ID: fmt.Sprintf("tiny%d", i), Seq: g.Random(3 + i*4)})
+	}
+	for _, tc := range []struct {
+		prune bool
+		want  string
+	}{
+		{false, "map[inter16:3 inter8:5 singles:1]"},
+		{true, "map[inter16:2 inter8:3 singles:1]"},
+	} {
+		r := dispatch.New(dispatch.ModeAuto, nil)
+		if _, err := Run(q, db, Options{Workers: 1, Router: r, Prune: tc.prune, NoEndpoints: true}); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(r.GroupCounts()); got != tc.want {
+			t.Errorf("prune=%v: group routes %s, want %s", tc.prune, got, tc.want)
+		}
+	}
 }

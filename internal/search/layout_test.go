@@ -100,14 +100,14 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 	}
 
 	opts := []Options{
-		{Lanes: 8, NoEndpoints: true},
-		{Lanes: 8, Workers: 3},
-		{Lanes: 8, Prune: true, TopK: 5},
-		{Lanes: 8, Prune: true, Prefilter: true, TopK: 3},
 		{Dispatch: "fixed", NoEndpoints: true},
-		{Dispatch: "fixed", Prune: true, TopK: 7},
-		{Lanes: 16, NoEndpoints: true},
-		{Lanes: 1, NoEndpoints: true},
+		{Dispatch: "fixed", Workers: 3},
+		{Dispatch: "fixed", Prune: true, TopK: 5},
+		{Dispatch: "fixed", Prune: true, Prefilter: true, TopK: 3},
+		{NoEndpoints: true},
+		{Prune: true, TopK: 7},
+		{Router: inter16Router(), NoEndpoints: true},
+		{Dispatch: "scalar", NoEndpoints: true},
 	}
 	queries := []BatchQuery{{Seq: q1}, {Seq: q2}, {Seq: q1[:50]}}
 	ctx := context.Background()
@@ -129,7 +129,8 @@ func TestSearchWithLayoutDifferential(t *testing.T) {
 					t.Errorf("query %d: hits differ with layout attached\nwant %+v\ngot  %+v",
 						qi, want[qi].Result.Hits, got[qi].Result.Hits)
 				}
-				if want[qi].Result.PaddedCells != got[qi].Result.PaddedCells && opt.Dispatch == "" && !opt.Prune {
+				adaptive := opt.Router == nil && opt.Dispatch == ""
+				if want[qi].Result.PaddedCells != got[qi].Result.PaddedCells && !adaptive && !opt.Prune {
 					// Without pruning or adaptive routing the padded-cell
 					// accounting is scheduling-independent and must agree.
 					t.Errorf("query %d: padded cells %d vs %d",

@@ -6,7 +6,6 @@ import (
 
 	"genomedsm/internal/bio"
 	"genomedsm/internal/blast"
-	"genomedsm/internal/swar"
 )
 
 // This file holds the ALAE-style exact pruning pipeline of Run:
@@ -185,67 +184,30 @@ func (f *floorTracker) publish() {
 // bounds pre-seed the floor so stage 1 and 2 start pruning from the
 // first group instead of waiting for K full scans. Records without
 // seed hits contribute no evidence and stay protected by the upper
-// bounds, so exactness is preserved by construction.
-func seedFloor(ft *floorTracker, q bio.Sequence, db []bio.Record, sc bio.Scoring, word, minScore int) {
+// bounds, so exactness is preserved by construction. When the database
+// carries a word index of the requested word size the query is looked
+// up in it — one pass over the query instead of one pass over every
+// record; otherwise a per-run query-side index seeds every record. Both
+// produce true lower bounds, so either way the hit set is unchanged.
+func seedFloor(ft *floorTracker, q bio.Sequence, db *DB, sc bio.Scoring, word, minScore int) {
+	lo := max(minScore, 1)
+	if ix := db.ix; ix != nil && ix.Word() == word {
+		ft.dedup = true
+		for i, lb := range ix.SeedScores(q, sc, 0) {
+			if lb >= lo {
+				ft.push(lb, i)
+			}
+		}
+		return
+	}
 	ix := blast.NewWordIndex(q, word)
 	if ix == nil {
 		return
 	}
 	ft.dedup = true
-	lo := minScore
-	if lo < 1 {
-		lo = 1
-	}
-	for i := range db {
-		if lb := ix.SeedScore(db[i].Seq, sc, 0); lb >= lo {
+	for i := range db.recs {
+		if lb := ix.SeedScore(db.recs[i].Seq, sc, 0); lb >= lo {
 			ft.push(lb, i)
 		}
-	}
-}
-
-// scoreGroupBounded is scoreGroup under a pruning bound: pruned[i]
-// reports that target i's exact score is provably below ab.Below (its
-// scores slot is then 0 and meaningless) and rows[i] is the number of
-// query rows the kernel rung that resolved target i consumed. Targets
-// that are not pruned are scored bit-exactly to scoreGroup's result.
-// A non-nil gp supplies the group's shared prebuilt int8 profile.
-func scoreGroupBounded(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, lanesOpt int, ab *swar.Bound, gp *groupProf) ([]int, []bool, []int, error) {
-	switch lanesOpt {
-	case 0, 8:
-		if len(targets) == 1 {
-			// Same singleton special-case as scoreGroup: the striped
-			// intra-sequence kernel uses all lanes on the single pair.
-			p, rows, pruned := al.StripedScoreBounded(q, targets[0], sc, ab)
-			return []int{p.Score}, []bool{pruned}, []int{rows}, nil
-		}
-		if gp != nil {
-			return al.GroupScores(q, targets, sc, gp.profile(), ab)
-		}
-		return al.ScoresBounded(q, targets, sc, ab)
-	case 16:
-		scores := make([]int, len(targets))
-		pruned := make([]bool, len(targets))
-		rows := make([]int, len(targets))
-		ls, ok := al.Scan16Bounded(q, targets, sc, ab)
-		for i := range targets {
-			switch {
-			case ok && ls.Pruned:
-				pruned[i], rows[i] = true, ls.Rows
-			case !ok || ls.Saturated&(1<<uint(i)) != 0:
-				p, r, pr := al.StripedScoreBounded(q, targets[i], sc, ab)
-				scores[i], rows[i], pruned[i] = p.Score, r, pr
-			default:
-				scores[i], rows[i] = ls.Scores[i], len(q)
-			}
-		}
-		return scores, pruned, rows, nil
-	default: // scalar reference path
-		scores := make([]int, len(targets))
-		pruned := make([]bool, len(targets))
-		rows := make([]int, len(targets))
-		for i, t := range targets {
-			scores[i], rows[i], pruned[i] = swar.ScalarScoreBounded(q, t, sc, ab)
-		}
-		return scores, pruned, rows, nil
 	}
 }

@@ -32,9 +32,10 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 		q := g.Random(250 + int(seed)*13)
 		db := testDB(t, seed+100, q, 40, 12)
 		for _, k := range []int{3, 10} {
-			for _, lanes := range []int{0, 16, 1} {
+			for _, route := range routeGrid() {
 				for _, prefilter := range []bool{false, true} {
-					base := Options{TopK: k, Lanes: lanes}
+					base := route.opt
+					base.TopK = k
 					want, err := Run(q, db, base)
 					if err != nil {
 						t.Fatal(err)
@@ -46,7 +47,7 @@ func TestPrunedMatchesUnpruned(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("seed=%d k=%d lanes=%d prefilter=%v", seed, k, lanes, prefilter)
+					label := fmt.Sprintf("seed=%d k=%d route=%s prefilter=%v", seed, k, route.name, prefilter)
 					requireSameHits(t, label, got.Hits, want.Hits)
 					if got.Prune == nil {
 						t.Fatalf("%s: no prune stats", label)

@@ -24,7 +24,6 @@ import (
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
 	"genomedsm/internal/dispatch"
-	"genomedsm/internal/swar"
 )
 
 // Options configures a database scan. The zero value scans with the
@@ -38,16 +37,12 @@ type Options struct {
 	Workers int
 	// MinScore drops hits scoring below it; scores ≤ 0 are always dropped.
 	MinScore int
-	// Lanes selects the kernel: 0 routes each lane group adaptively (see
-	// Dispatch), 8 forces the int8 SWAR chain, 16 starts at the int16
-	// kernel, 1 forces the scalar path (reference and benchmarking).
-	Lanes int
-	// Dispatch selects the routing mode for the default kernel path
-	// (Lanes == 0): "" or "auto" picks the fastest exact route per lane
-	// group by the calibrated cost model of internal/dispatch, "fixed"
-	// reproduces the pre-dispatch fixed thresholds, "scalar" forces the
-	// exact scalar kernels. All modes return bit-identical hits; only
-	// speed varies. Ignored when Lanes selects an explicit kernel.
+	// Dispatch selects the routing mode of the lane groups: "" or "auto"
+	// picks the fastest exact route per lane group by the calibrated cost
+	// model of internal/dispatch, "fixed" reproduces the pre-dispatch
+	// fixed thresholds (the int8 ladder, striped singletons), "scalar"
+	// forces the exact scalar kernels. All modes return bit-identical
+	// hits; only speed varies. Ignored when Router is set.
 	Dispatch string
 	// NoEndpoints skips the scalar re-alignment of the final hits, for
 	// callers that only need scores.
@@ -66,10 +61,11 @@ type Options struct {
 	// AbandonEvery is the mid-scan abandon check cadence in query rows
 	// (default swar.DefaultAbandonEvery).
 	AbandonEvery int
-	// Router, when non-nil, routes this scan's lane groups (Lanes == 0)
-	// instead of a router built from Dispatch: a resident server shares
-	// one calibrated router — and its route statistics — across
-	// requests. Routing never changes results, only speed.
+	// Router, when non-nil, routes this scan's lane groups instead of a
+	// router built from Dispatch: a resident server shares one
+	// calibrated router — and its route statistics — across requests,
+	// and a router with a ForceGroup hook pins every group to one route.
+	// Routing never changes results, only speed.
 	Router *dispatch.Router
 }
 
@@ -98,18 +94,6 @@ type Result struct {
 	PaddedCells int64
 	// Prune holds the pruning statistics; nil when Options.Prune is off.
 	Prune *PruneStats
-}
-
-// laneGroups orders record indices by decreasing sequence length and
-// cuts them into consecutive groups of lanes, so each group packs
-// near-equal lengths and short lanes waste little padding.
-func laneGroups(db []bio.Record, lanes int) [][]int {
-	order := sortedOrder(db)
-	groups := make([][]int, 0, (len(order)+lanes-1)/lanes)
-	for lo := 0; lo < len(order); lo += lanes {
-		groups = append(groups, order[lo:min(lo+lanes, len(order))])
-	}
-	return groups
 }
 
 // topK is a bounded min-heap of hits ordered by (score, then lower
@@ -181,59 +165,6 @@ func (h *topK) siftDown(i int) {
 // pack via internal/dbpack) and use RunCtx/RunBatch instead.
 func Run(q bio.Sequence, db []bio.Record, opt Options) (*Result, error) {
 	return RunCtx(context.Background(), q, NewDB(db), opt)
-}
-
-// scoreGroup dispatches one lane group to the kernel selected by the
-// Lanes option. The default (0/8) uses the full int8→int16→scalar chain
-// of swar.Scores; 16 starts at int16 with scalar fallback; 1 is the
-// scalar reference path (align.Scan with its striped fast path disabled,
-// so differential tests compare two independent kernels). A non-nil gp
-// supplies the group's shared prebuilt int8 profile (bit-identical to
-// the one the chain would build) for the 0/8 path.
-func scoreGroup(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, lanesOpt int, gp *groupProf) ([]int, error) {
-	switch lanesOpt {
-	case 0, 8:
-		if len(targets) == 1 {
-			// A singleton group (database tail, tiny database) would fill
-			// one of eight lanes; the striped intra-sequence kernel inside
-			// align.Scan uses all lanes on the single pair instead.
-			r, err := align.Scan(q, targets[0], sc, align.ScanOptions{})
-			if err != nil {
-				return nil, err
-			}
-			return []int{r.BestScore}, nil
-		}
-		if gp != nil {
-			scores, _, _, err := al.GroupScores(q, targets, sc, gp.profile(), nil)
-			return scores, err
-		}
-		return al.Scores(q, targets, sc)
-	case 16:
-		out := make([]int, len(targets))
-		ls, ok := al.Scan16(q, targets, sc)
-		for i := range targets {
-			if !ok || ls.Saturated&(1<<uint(i)) != 0 {
-				r, err := align.Scan(q, targets[i], sc, align.ScanOptions{})
-				if err != nil {
-					return nil, err
-				}
-				out[i] = r.BestScore
-			} else {
-				out[i] = ls.Scores[i]
-			}
-		}
-		return out, nil
-	default: // scalar
-		out := make([]int, len(targets))
-		for i, t := range targets {
-			r, err := align.Scan(q, t, sc, align.ScanOptions{ForceScalar: true})
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r.BestScore
-		}
-		return out, nil
-	}
 }
 
 // Realign fills the alignment spans of the final hits with the exact

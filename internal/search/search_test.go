@@ -6,6 +6,7 @@ import (
 
 	"genomedsm/internal/align"
 	"genomedsm/internal/bio"
+	"genomedsm/internal/dispatch"
 )
 
 // testDB builds a synthetic database: noise records plus mutated copies
@@ -24,13 +25,15 @@ func testDB(t *testing.T, seed int64, q bio.Sequence, noise, homologs int) []bio
 	return db
 }
 
-// bruteTopK is the reference: score every record with align.Scan, sort
-// by (score desc, index asc), trim to k.
+// bruteTopK is the reference: score every record with the scalar
+// align.Scan (ForceScalar keeps it independent of every packed and
+// striped kernel the routes use), sort by (score desc, index asc), trim
+// to k.
 func bruteTopK(t *testing.T, q bio.Sequence, db []bio.Record, sc bio.Scoring, k, minScore int) []Hit {
 	t.Helper()
 	var hits []Hit
 	for i, rec := range db {
-		r, err := align.Scan(q, rec.Seq, sc, align.ScanOptions{})
+		r, err := align.Scan(q, rec.Seq, sc, align.ScanOptions{ForceScalar: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,6 +55,59 @@ func bruteTopK(t *testing.T, q bio.Sequence, db []bio.Record, sc bio.Scoring, k,
 	return hits
 }
 
+// scalarRef is the scalar reference result of a scan with opt's
+// scoring, K and MinScore: bruteTopK for the hit set, Realign for the
+// coordinates unless opt.NoEndpoints. It shares no kernel with the
+// routes under test.
+func scalarRef(t *testing.T, q bio.Sequence, db []bio.Record, opt Options) *Result {
+	t.Helper()
+	sc := opt.Scoring
+	if sc == (bio.Scoring{}) {
+		sc = bio.DefaultScoring()
+	}
+	k := opt.TopK
+	if k <= 0 {
+		k = 10
+	}
+	res := &Result{Hits: bruteTopK(t, q, db, sc, k, opt.MinScore), Searched: len(db)}
+	for _, rec := range db {
+		res.Cells += int64(len(q)) * int64(len(rec.Seq))
+	}
+	if !opt.NoEndpoints {
+		if err := Realign(q, db, sc, res.Hits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res
+}
+
+// inter16Router pins every lane group to the int16 route: two 4-lane
+// word-passes per 8-record group, the same 4-record subgroups of the
+// canonical order that a 4-lane group cut would scan.
+func inter16Router() *dispatch.Router {
+	r := dispatch.New(dispatch.ModeAuto, nil)
+	r.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	return r
+}
+
+// routeGrid is the route axis of the differential tests: the three
+// dispatch modes plus the forced int16 route, so every packed and
+// scalar kernel of the group ladder is exercised.
+func routeGrid() []struct {
+	name string
+	opt  Options
+} {
+	return []struct {
+		name string
+		opt  Options
+	}{
+		{"auto", Options{Dispatch: "auto"}},
+		{"fixed", Options{Dispatch: "fixed"}},
+		{"scalar", Options{Dispatch: "scalar"}},
+		{"inter16", Options{Router: inter16Router()}},
+	}
+}
+
 func TestRunMatchesBruteForce(t *testing.T) {
 	g := bio.NewGenerator(11)
 	q := g.Random(300)
@@ -59,20 +115,22 @@ func TestRunMatchesBruteForce(t *testing.T) {
 	sc := bio.DefaultScoring()
 	want := bruteTopK(t, q, db, sc, 10, 0)
 	for _, workers := range []int{1, 3, 8} {
-		for _, lanes := range []int{0, 16, 1} {
-			res, err := Run(q, db, Options{Workers: workers, Lanes: lanes, NoEndpoints: true})
+		for _, route := range routeGrid() {
+			opt := route.opt
+			opt.Workers, opt.NoEndpoints = workers, true
+			res, err := Run(q, db, opt)
 			if err != nil {
-				t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)
+				t.Fatalf("workers=%d route=%s: %v", workers, route.name, err)
 			}
 			if res.Searched != len(db) {
 				t.Errorf("searched %d, want %d", res.Searched, len(db))
 			}
 			if len(res.Hits) != len(want) {
-				t.Fatalf("workers=%d lanes=%d: %d hits, want %d", workers, lanes, len(res.Hits), len(want))
+				t.Fatalf("workers=%d route=%s: %d hits, want %d", workers, route.name, len(res.Hits), len(want))
 			}
 			for i := range want {
 				if res.Hits[i] != want[i] {
-					t.Errorf("workers=%d lanes=%d hit %d: %+v, want %+v", workers, lanes, i, res.Hits[i], want[i])
+					t.Errorf("workers=%d route=%s hit %d: %+v, want %+v", workers, route.name, i, res.Hits[i], want[i])
 				}
 			}
 		}
@@ -135,9 +193,6 @@ func TestRunOptions(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(q, db, Options{Lanes: 7}); err == nil {
-		t.Error("invalid lane width accepted")
-	}
 	if _, err := Run(q, db, Options{Scoring: bio.Scoring{Match: -1, Mismatch: 1, Gap: 1}}); err == nil {
 		t.Error("invalid scoring accepted")
 	}
@@ -186,14 +241,14 @@ func TestLaneGroups(t *testing.T) {
 	for _, n := range []int{5, 900, 17, 900, 33, 1, 0, 250, 250, 249} {
 		db = append(db, bio.Record{Seq: g.Random(n)})
 	}
-	groups := laneGroups(db, 4)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
+	groups := NewDB(db).groups()
+	if len(groups) != 2 {
+		t.Fatalf("got %d groups, want 2", len(groups))
 	}
 	seen := map[int]bool{}
 	prevMin := 1 << 30
 	for _, grp := range groups {
-		if len(grp) > 4 {
+		if len(grp) > bio.PackedLanes8 {
 			t.Fatalf("group of %d lanes", len(grp))
 		}
 		for _, idx := range grp {

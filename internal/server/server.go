@@ -13,9 +13,9 @@
 //
 //	POST /search  — one query or a "queries" array; per-query top-K,
 //	                min-score and deadline; optional scan-option
-//	                overrides (lanes, dispatch, prune, prefilter,
-//	                scores_only). Hits are bit-identical to a direct
-//	                search.Run with the same options.
+//	                overrides (dispatch, prune, prefilter, scores_only);
+//	                an unknown field is a 400. Hits are bit-identical
+//	                to a direct search.Run with the same options.
 //	GET  /healthz — liveness: 200 while serving, 503 while draining.
 //	GET  /statsz  — uptime, database shape, query/batch/reject totals,
 //	                queue and batch high-water marks, prune aggregates,
@@ -49,8 +49,9 @@ type Config struct {
 	DB *search.DB
 	// Options is the server-wide scan configuration: scoring, kernel
 	// selection, pruning, worker count. Requests may override TopK and
-	// MinScore per query, and lanes/dispatch/prune/prefilter/scores_only
-	// per request. TopK 0 means the search default (10).
+	// MinScore per query, and dispatch/prune/prefilter/scores_only per
+	// request. TopK 0 means the search default (10). A non-nil Router
+	// serves every default-mode scan in place of the server's own.
 	Options search.Options
 	// MaxQueue bounds the admission queue: requests beyond it are
 	// rejected with 429 instead of queuing without bound (default 64).
@@ -171,11 +172,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("server: nil database")
 	}
-	switch cfg.Options.Lanes {
-	case 0, 8, 16, 1:
-	default:
-		return nil, fmt.Errorf("server: lanes must be 0, 8, 16 or 1, got %d", cfg.Options.Lanes)
-	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
 	}
@@ -201,9 +197,12 @@ func New(cfg Config) (*Server, error) {
 	// One calibrated router for the server's lifetime: every
 	// default-mode scan shares its adaptive profile and feeds the route
 	// counters /statsz reports.
-	if mode == dispatch.ModeAuto {
+	switch {
+	case cfg.Options.Router != nil:
+		s.router = cfg.Options.Router
+	case mode == dispatch.ModeAuto:
 		s.router = dispatch.New(mode, dispatch.Host())
-	} else {
+	default:
 		s.router = dispatch.New(mode, nil)
 	}
 	if cfg.Shards >= 2 {

@@ -17,6 +17,7 @@ import (
 	"genomedsm/internal/bio"
 	"genomedsm/internal/blast"
 	"genomedsm/internal/dbpack"
+	"genomedsm/internal/dispatch"
 	"genomedsm/internal/search"
 )
 
@@ -62,12 +63,27 @@ func newTestServer(t testing.TB, recs []bio.Record, cfg Config) (*Server, *httpt
 	return s, hs
 }
 
+// inter16Router pins every lane group to the int16 route: two 4-lane
+// word-passes per 8-record group.
+func inter16Router() *dispatch.Router {
+	r := dispatch.New(dispatch.ModeAuto, nil)
+	r.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	return r
+}
+
 func postSearch(t testing.TB, url string, req RequestJSON) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, body)
+}
+
+// postRaw posts a raw /search body, for payloads RequestJSON cannot
+// express.
+func postRaw(t testing.TB, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url+"/search", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -86,36 +102,46 @@ func postSearch(t testing.TB, url string, req RequestJSON) (*http.Response, []by
 // the same options, across the kernel, pruning and dispatch grid.
 func TestSearchDifferential(t *testing.T) {
 	q, recs := testDB(t, 48, 60, 40)
-	_, hs := newTestServer(t, recs, Config{})
 
 	type pruneCase struct{ prune, prefilter bool }
 	pruneCases := []pruneCase{{false, false}, {true, false}, {true, true}}
-	for _, lanes := range []int{0, 8, 16, 1} {
-		dispatches := []string{""}
-		if lanes == 0 {
-			dispatches = []string{"auto", "fixed", "scalar"}
-		}
-		for _, disp := range dispatches {
+	// Each route keeps the subtest label of the former lanes × dispatch
+	// grid. lanes=0 rows override the dispatch mode per request on an
+	// auto server; the other rows scan down the server's own shared
+	// router: the fixed int8 ladder (lanes=8), the scalar kernels
+	// (lanes=1) and a router forced to the int16 route (lanes=16).
+	routes := []struct {
+		lanes      int
+		dispatches []string
+		server     search.Options
+	}{
+		{0, []string{"auto", "fixed", "scalar"}, search.Options{}},
+		{8, []string{""}, search.Options{Dispatch: "fixed"}},
+		{16, []string{""}, search.Options{Router: inter16Router()}},
+		{1, []string{""}, search.Options{Dispatch: "scalar"}},
+	}
+	for _, rt := range routes {
+		_, hs := newTestServer(t, recs, Config{Options: rt.server})
+		for _, disp := range rt.dispatches {
 			for _, pc := range pruneCases {
 				for _, k := range []int{3, 10} {
 					name := fmt.Sprintf("lanes=%d/disp=%s/prune=%v/prefilter=%v/k=%d",
-						lanes, disp, pc.prune, pc.prefilter, k)
+						rt.lanes, disp, pc.prune, pc.prefilter, k)
 					t.Run(name, func(t *testing.T) {
-						opt := search.Options{
-							TopK: k, Lanes: lanes, Dispatch: disp,
-							Prune: pc.prune, Prefilter: pc.prefilter,
+						opt := rt.server
+						if disp != "" {
+							opt.Dispatch = disp
 						}
+						opt.TopK, opt.Prune, opt.Prefilter = k, pc.prune, pc.prefilter
 						want, err := search.Run(q, recs, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						lanesArg, dispArg := lanes, disp
-						pruneArg, prefArg := pc.prune, pc.prefilter
-						resp, body := postSearch(t, hs.URL, RequestJSON{
-							Query: q.String(), TopK: k,
-							Lanes: &lanesArg, Dispatch: &dispArg,
-							Prune: &pruneArg, Prefilter: &prefArg,
-						})
+						req := RequestJSON{Query: q.String(), TopK: k, Prune: &opt.Prune, Prefilter: &opt.Prefilter}
+						if disp != "" {
+							req.Dispatch = &disp
+						}
+						resp, body := postSearch(t, hs.URL, req)
 						if resp.StatusCode != http.StatusOK {
 							t.Fatalf("status %d: %s", resp.StatusCode, body)
 						}
@@ -338,9 +364,9 @@ func TestDeadline(t *testing.T) {
 	q, recs := testDB(t, 512, 400, 120)
 	_, hs := newTestServer(t, recs, Config{Options: search.Options{Prune: true}})
 
-	one := 1
+	scalar := "scalar"
 	resp, body := postSearch(t, hs.URL, RequestJSON{
-		Query: q.String(), TimeoutMS: 1, Lanes: &one,
+		Query: q.String(), TimeoutMS: 1, Dispatch: &scalar,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -527,7 +553,6 @@ func TestBadRequests(t *testing.T) {
 			}
 			return r
 		}(), http.StatusBadRequest},
-		{"bad lanes", func() RequestJSON { l := 4; return RequestJSON{Query: "ACGT", Lanes: &l} }(), http.StatusBadRequest},
 		{"bad dispatch", func() RequestJSON { d := "warp"; return RequestJSON{Query: "ACGT", Dispatch: &d} }(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -535,6 +560,19 @@ func TestBadRequests(t *testing.T) {
 			resp, body := postSearch(t, hs.URL, tc.req)
 			if resp.StatusCode != tc.want {
 				t.Errorf("status %d, want %d (%s)", resp.StatusCode, tc.want, body)
+			}
+		})
+	}
+	// Unknown fields — a removed option or a misspelling — are rejected
+	// by name instead of silently scanning with the defaults.
+	for _, tc := range []struct{ name, body, field string }{
+		{"bad lanes", `{"query":"ACGT","lanes":4}`, "lanes"},
+		{"misspelt field", `{"query":"ACGT","topk":3}`, "topk"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postRaw(t, hs.URL, []byte(tc.body))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.field) {
+				t.Errorf("status %d, want 400 naming %q (%s)", resp.StatusCode, tc.field, body)
 			}
 		})
 	}

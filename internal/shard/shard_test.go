@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"genomedsm/internal/bio"
+	"genomedsm/internal/dispatch"
 	"genomedsm/internal/search"
 )
 
@@ -31,6 +32,14 @@ func synthInputs(seed int64, qLen, n, baseLen int) (bio.Sequence, []bio.Record) 
 		recs = append(recs, bio.Record{ID: fmt.Sprintf("rec%d", i), Seq: g.Random(rl)})
 	}
 	return q, recs
+}
+
+// inter16Router pins every lane group to the int16 route: two 4-lane
+// word-passes per 8-record group.
+func inter16Router() *dispatch.Router {
+	r := dispatch.New(dispatch.ModeAuto, nil)
+	r.ForceGroup = func(int, []int) (dispatch.GroupRoute, bool) { return dispatch.GroupInter16, true }
+	return r
 }
 
 // quietOptions returns cluster options that cannot false-positive a
@@ -59,8 +68,9 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 		{},
 		{Prune: true},
 		{Prune: true, Prefilter: true},
-		{Lanes: 16, TopK: 5},
-		{Lanes: 1, TopK: 3, Prune: true},
+		{Router: inter16Router(), TopK: 5},
+		{Dispatch: "scalar", TopK: 3, Prune: true},
+		{Dispatch: "fixed", TopK: 4, Prune: true},
 		{MinScore: 25, Prune: true},
 		{NoEndpoints: true, TopK: 20},
 	} {
@@ -268,7 +278,7 @@ func TestPerQueryCancelStopsRemoteWork(t *testing.T) {
 	q1, recs := synthInputs(3, 300, 96, 500)
 	q2 := bio.NewGenerator(4).Random(200)
 	db := search.NewDB(recs)
-	opt := search.Options{Lanes: 1} // scalar: slow enough that the cancel lands mid-scan
+	opt := search.Options{Dispatch: "scalar"} // slow enough that the cancel lands mid-scan
 	wantBatch, err := search.RunBatch(context.Background(),
 		[]search.BatchQuery{{Seq: q2, TopK: 5}}, db, opt)
 	if err != nil {

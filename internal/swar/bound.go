@@ -54,146 +54,3 @@ func (b *Bound) cadence() int {
 	}
 	return DefaultAbandonEvery
 }
-
-// Scan8Bounded is Scan8 under a Bound: an abandoned scan returns
-// Pruned=true with Rows set to the rows consumed, and Scores must then
-// be ignored (every lane is provably below ab.Below).
-func (a *Aligner) Scan8Bounded(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound) (LaneScores, bool) {
-	if -sc.Gap > bio.PackedCap8 {
-		return LaneScores{}, false
-	}
-	prof := bio.NewPackedProfile8(targets, sc)
-	if prof == nil {
-		return LaneScores{}, false
-	}
-	return a.finish(q, prof, sc, len(targets), ab), true
-}
-
-// Scan8Prof is Scan8Bounded with a caller-supplied prebuilt 8-lane
-// profile: the pack-v2 fast path, where the profile is built once from
-// the precomputed lane-interleaved layout words and shared across the
-// queries of a batch instead of being rebuilt per scan. prof must
-// describe the group being scanned under sc (bio.NewPackedProfile8 or
-// its bit-identical from-words equivalent) and lanes is the number of
-// live targets. ok is false when prof is nil or the gap penalty does
-// not fit an int8 lane — the same conditions under which Scan8Bounded
-// refuses, so callers fall back identically.
-func (a *Aligner) Scan8Prof(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound) (LaneScores, bool) {
-	if prof == nil || -sc.Gap > bio.PackedCap8 {
-		return LaneScores{}, false
-	}
-	return a.finish(q, prof, sc, lanes, ab), true
-}
-
-// Scan16Bounded is Scan16 under a Bound.
-func (a *Aligner) Scan16Bounded(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound) (LaneScores, bool) {
-	if -sc.Gap > bio.PackedCap16 {
-		return LaneScores{}, false
-	}
-	prof := bio.NewPackedProfile16(targets, sc)
-	if prof == nil {
-		return LaneScores{}, false
-	}
-	return a.finish(q, prof, sc, len(targets), ab), true
-}
-
-// ScoresBounded is Scores under a Bound: pruned[i] reports that target
-// i's exact score is provably < ab.Below (scores[i] is then 0 and
-// meaningless) and rows[i] is the number of query rows the rung that
-// resolved target i consumed (the full query length unless pruned).
-// Targets that are not pruned are scored bit-exactly, by the same
-// int8 → int16 → scalar ladder as Scores; with a nil or disabled bound
-// the result degenerates to exactly Scores.
-func (a *Aligner) ScoresBounded(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound) (scores []int, pruned []bool, rows []int, err error) {
-	return a.scoresLadder(q, targets, sc, nil, ab)
-}
-
-// GroupScores is the same int8 → int16 → scalar ladder for one lane
-// group of at most PackedLanes8 targets, optionally starting from a
-// caller-supplied prebuilt int8 profile — the pack-v2 fast path, where
-// the group's profile comes from the precomputed lane layout (or is
-// built once and shared across the queries of a batch) instead of being
-// rebuilt per call. prof, when non-nil, must describe exactly these
-// targets under this scoring (bio.NewPackedProfile8 or its bit-identical
-// from-words equivalent); a nil prof reproduces ScoresBounded exactly.
-func (a *Aligner) GroupScores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, prof *bio.PackedProfile, ab *Bound) (scores []int, pruned []bool, rows []int, err error) {
-	return a.scoresLadder(q, targets, sc, prof, ab)
-}
-
-func (a *Aligner) scoresLadder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, prof *bio.PackedProfile, ab *Bound) (scores []int, pruned []bool, rows []int, err error) {
-	if err := sc.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	scores = make([]int, len(targets))
-	pruned = make([]bool, len(targets))
-	rows = make([]int, len(targets))
-	for i := range rows {
-		rows[i] = len(q)
-	}
-	var narrow []int // target indices needing the int16 retry
-	for lo := 0; lo < len(targets); lo += bio.PackedLanes8 {
-		hi := min(lo+bio.PackedLanes8, len(targets))
-		var ls LaneScores
-		var ok bool
-		if prof != nil && lo == 0 && hi == len(targets) {
-			// The prebuilt profile covers the whole (single-subgroup) lane
-			// group; its nil-vs-built conditions match NewPackedProfile8,
-			// so ok agrees with the build-per-call path below.
-			ls, ok = a.Scan8Prof(q, prof, sc, hi-lo, ab)
-		} else {
-			ls, ok = a.Scan8Bounded(q, targets[lo:hi], sc, ab)
-		}
-		if !ok {
-			for i := lo; i < hi; i++ {
-				narrow = append(narrow, i)
-			}
-			continue
-		}
-		if ls.Pruned {
-			for i := lo; i < hi; i++ {
-				pruned[i] = true
-				rows[i] = ls.Rows
-			}
-			continue
-		}
-		for l := 0; l < ls.Lanes; l++ {
-			if ls.Saturated&(1<<uint(l)) != 0 {
-				narrow = append(narrow, lo+l)
-			} else {
-				scores[lo+l] = ls.Scores[l]
-			}
-		}
-	}
-	var scalar []int // target indices needing the exact scalar kernel
-	group := make([]bio.Sequence, 0, bio.PackedLanes16)
-	for lo := 0; lo < len(narrow); lo += bio.PackedLanes16 {
-		hi := min(lo+bio.PackedLanes16, len(narrow))
-		group = group[:0]
-		for _, idx := range narrow[lo:hi] {
-			group = append(group, targets[idx])
-		}
-		ls, ok := a.Scan16Bounded(q, group, sc, ab)
-		if !ok {
-			scalar = append(scalar, narrow[lo:hi]...)
-			continue
-		}
-		if ls.Pruned {
-			for _, idx := range narrow[lo:hi] {
-				pruned[idx] = true
-				rows[idx] = ls.Rows
-			}
-			continue
-		}
-		for l := 0; l < ls.Lanes; l++ {
-			if ls.Saturated&(1<<uint(l)) != 0 {
-				scalar = append(scalar, narrow[lo+l])
-			} else {
-				scores[narrow[lo+l]] = ls.Scores[l]
-			}
-		}
-	}
-	for _, idx := range scalar {
-		scores[idx], rows[idx], pruned[idx] = ScalarScoreBounded(q, targets[idx], sc, ab)
-	}
-	return scores, pruned, rows, nil
-}

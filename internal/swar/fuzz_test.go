@@ -21,11 +21,12 @@ func fuzzSeq(raw []byte, limit int) bio.Sequence {
 	return s
 }
 
-// FuzzScoresVsScalar drives the full int8→int16→scalar chain against the
-// scalar align.Scan on arbitrary query/target bytes, splitting the
+// FuzzScoresVsScalar drives the full int8→int16→scalar ladder against
+// the scalar align.Scan on arbitrary query/target bytes, splitting the
 // target material into lanes of fuzzer-chosen uneven lengths. cut1/cut2
 // and the repeat count shape the lane group so the fuzzer can construct
-// empty lanes, duplicate lanes and high-identity (saturating) lanes.
+// empty lanes, duplicate lanes and high-identity (saturating) lanes;
+// the repeat byte's high part also picks the ladder's start rung.
 func FuzzScoresVsScalar(f *testing.F) {
 	f.Add([]byte("acgtacgtacgt"), []byte("tacgtacg"), uint8(3), uint8(5), uint8(2))
 	f.Add([]byte{}, []byte{1, 2, 3, 4}, uint8(0), uint8(0), uint8(9))
@@ -44,10 +45,12 @@ func FuzzScoresVsScalar(f *testing.F) {
 			targets = append(targets, q)
 		}
 		var al swar.Aligner
-		got, err := al.Scores(q, targets, bio.DefaultScoring())
+		start := swar.Rung(int(rep/6) % 3)
+		res, err := al.Ladder(q, targets, bio.DefaultScoring(), start, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Scores
 		for i, tgt := range targets {
 			r, err := align.Scan(q, tgt, bio.DefaultScoring(), align.ScanOptions{ForceScalar: true})
 			if err != nil {

@@ -355,9 +355,9 @@ func (a *Aligner) StripedScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bou
 	return a.scalarPair(s, t, sc, ab)
 }
 
-// scalarPair is the exact scalar rung with coordinates: scalarScore's
-// loop plus align.Scan's strict-improvement coordinate tracking, with
-// the same optional mid-scan abandon as ScalarScoreBounded.
+// scalarPair is the exact scalar rung with coordinates: the
+// ScalarScoreBounded loop plus align.Scan's strict-improvement
+// coordinate tracking, with the same optional mid-scan abandon.
 func (a *Aligner) scalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pair, rows int, pruned bool) {
 	m, n := s.Len(), t.Len()
 	if m == 0 || n == 0 {

@@ -34,7 +34,7 @@
 // int8 → int16 → the exact scalar kernel (scalar.go). Wrapped garbage in a
 // flagged lane stays inside that lane (no operation carries or borrows
 // across lane boundaries for any input), so neighbours are unaffected.
-// The chain makes Scores bit-exact against align.Scan by construction.
+// The chain (Ladder) is bit-exact against align.Scan by construction.
 package swar
 
 import (
@@ -234,26 +234,45 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 // (callers then use Scan16 or the scalar path); lanes that overflow it
 // are flagged Saturated in the result.
 func (a *Aligner) Scan8(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
-	if -sc.Gap > bio.PackedCap8 {
-		return LaneScores{}, false
-	}
-	prof := bio.NewPackedProfile8(targets, sc)
-	if prof == nil {
-		return LaneScores{}, false
-	}
-	return a.finish(q, prof, sc, len(targets), nil), true
+	ls, _, ok := a.scan8(q, targets, sc, nil, nil)
+	return ls, ok
 }
 
 // Scan16 scores q against up to 4 targets in int16 lanes.
 func (a *Aligner) Scan16(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) (LaneScores, bool) {
+	ls, _, ok := a.scan16(q, targets, sc, nil)
+	return ls, ok
+}
+
+// scan8 is one int8 lane pass under an optional Bound, also returning
+// the padded row width (the longest target). prof, when non-nil, is
+// the group's prebuilt int8 profile (bio.NewPackedProfile8 or its
+// bit-identical from-words equivalent); nil builds it from targets.
+// ok is false when the scoring magnitudes or the target count do not
+// fit int8 lanes.
+func (a *Aligner) scan8(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, prof *bio.PackedProfile, ab *Bound) (LaneScores, int, bool) {
+	if -sc.Gap > bio.PackedCap8 {
+		return LaneScores{}, 0, false
+	}
+	if prof == nil {
+		prof = bio.NewPackedProfile8(targets, sc)
+	}
+	if prof == nil {
+		return LaneScores{}, 0, false
+	}
+	return a.finish(q, prof, sc, len(targets), ab), prof.Words(), true
+}
+
+// scan16 is scan8 for up to 4 targets in int16 lanes.
+func (a *Aligner) scan16(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, ab *Bound) (LaneScores, int, bool) {
 	if -sc.Gap > bio.PackedCap16 {
-		return LaneScores{}, false
+		return LaneScores{}, 0, false
 	}
 	prof := bio.NewPackedProfile16(targets, sc)
 	if prof == nil {
-		return LaneScores{}, false
+		return LaneScores{}, 0, false
 	}
-	return a.finish(q, prof, sc, len(targets), nil), true
+	return a.finish(q, prof, sc, len(targets), ab), prof.Words(), true
 }
 
 func (a *Aligner) finish(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring, lanes int, ab *Bound) LaneScores {
@@ -272,59 +291,128 @@ func (a *Aligner) finish(q bio.Sequence, prof *bio.PackedProfile, sc bio.Scoring
 	return res
 }
 
-// Scores returns the exact best local-alignment score of q against
-// every target, bit-exact against align.Scan. Targets are scanned in
-// int8 lane groups of 8; lanes that overflow the 7-bit clean range (or
-// scoring schemes that do not fit it) are retried in int16 groups of 4,
-// and anything still overflowing falls back to the scalar kernel. The
-// Aligner's buffers are reused across calls, so a long-lived worker
-// allocates only per lane group (the packed profile).
-func (a *Aligner) Scores(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) ([]int, error) {
+// Rung is a step of the exact scoring ladder, and the step a Ladder
+// call starts at.
+type Rung int
+
+const (
+	// Rung8 is one inter-sequence int8 pass over the whole lane group.
+	Rung8 Rung = iota
+	// Rung16 is the inter-sequence int16 pass, in subgroups of 4.
+	Rung16
+	// RungScalar is the exact scalar kernel, one target at a time.
+	RungScalar
+)
+
+// LadderScores is the outcome of one Ladder call.
+type LadderScores struct {
+	// Scores holds each target's exact best local-alignment score; a
+	// pruned target's slot is 0 and meaningless.
+	Scores []int
+	// Pruned[i] reports that target i's exact score is provably below
+	// the bound's Below threshold.
+	Pruned []bool
+	// Rows[i] is the number of query rows the rung that resolved target
+	// i consumed: the full query length unless pruned.
+	Rows []int
+	// Padded counts the cells the rungs actually computed: lane width ×
+	// padded row width × rows scanned per packed pass, |target| × rows
+	// per scalar scan.
+	Padded int64
+	// Sat8 is the saturation mask of the int8 pass; it is evidence only
+	// when Ran8 reports that the pass ran to completion (it was neither
+	// refused by the scoring scheme nor abandoned under the bound).
+	Sat8 uint8
+	Ran8 bool
+}
+
+// Ladder returns the exact best local-alignment score of q against
+// every target of one lane group, bit-exact against align.Scan: the
+// int8 pass, an int16 retry in subgroups of 4 for the lanes that
+// overflow the 7-bit clean range (or all of them when the scheme does
+// not fit int8 lanes), and the scalar kernel for anything still
+// overflowing. start skips the rungs above it. prof8, when non-nil, is
+// the group's prebuilt int8 profile for the Rung8 pass. Under a
+// non-nil Bound each rung may abandon its targets once their scores
+// are provably below ab.Below; a nil Bound scores every target. The
+// int8 rung takes at most PackedLanes8 targets — larger groups start
+// directly at the int16 rung, still exactly. The Aligner's buffers are
+// reused across calls, so a long-lived worker allocates only the
+// result slices and the packed profiles per lane group.
+func (a *Aligner) Ladder(q bio.Sequence, targets []bio.Sequence, sc bio.Scoring, start Rung, prof8 *bio.PackedProfile, ab *Bound) (LadderScores, error) {
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return LadderScores{}, err
 	}
-	out := make([]int, len(targets))
-	var narrow []int // target indices needing the int16 retry
-	for lo := 0; lo < len(targets); lo += bio.PackedLanes8 {
-		hi := min(lo+bio.PackedLanes8, len(targets))
-		ls, ok := a.Scan8(q, targets[lo:hi], sc)
-		if !ok {
-			for i := lo; i < hi; i++ {
-				narrow = append(narrow, i)
-			}
-			continue
+	g := len(targets)
+	res := LadderScores{Scores: make([]int, g), Pruned: make([]bool, g), Rows: make([]int, g)}
+	for i := range res.Rows {
+		res.Rows[i] = len(q)
+	}
+	if start == RungScalar {
+		for i := range targets {
+			res.scalar(q, targets, i, sc, ab)
 		}
+		return res, nil
+	}
+	var buf [bio.PackedLanes8]int
+	narrow := buf[:0] // target indices for the int16 rung
+	ls, width, ok := LaneScores{}, 0, false
+	if start == Rung8 {
+		ls, width, ok = a.scan8(q, targets, sc, prof8, ab)
+	}
+	if !ok {
+		for i := range targets {
+			narrow = append(narrow, i)
+		}
+	} else {
+		res.Padded += int64(bio.PackedLanes8) * int64(width) * int64(ls.Rows)
+		if ls.Pruned {
+			for i := range targets {
+				res.Pruned[i], res.Rows[i] = true, ls.Rows
+			}
+			return res, nil
+		}
+		res.Sat8, res.Ran8 = ls.Saturated, true
 		for l := 0; l < ls.Lanes; l++ {
 			if ls.Saturated&(1<<uint(l)) != 0 {
-				narrow = append(narrow, lo+l)
+				narrow = append(narrow, l)
 			} else {
-				out[lo+l] = ls.Scores[l]
+				res.Scores[l] = ls.Scores[l]
 			}
 		}
 	}
-	var scalar []int // target indices needing the exact scalar kernel
-	group := make([]bio.Sequence, 0, bio.PackedLanes16)
+	var gbuf [bio.PackedLanes16]bio.Sequence
 	for lo := 0; lo < len(narrow); lo += bio.PackedLanes16 {
-		hi := min(lo+bio.PackedLanes16, len(narrow))
-		group = group[:0]
-		for _, idx := range narrow[lo:hi] {
-			group = append(group, targets[idx])
+		sub := narrow[lo:min(lo+bio.PackedLanes16, len(narrow))]
+		group := gbuf[:0]
+		for _, i := range sub {
+			group = append(group, targets[i])
 		}
-		ls, ok := a.Scan16(q, group, sc)
+		ls, width, ok := a.scan16(q, group, sc, ab)
 		if !ok {
-			scalar = append(scalar, narrow[lo:hi]...)
+			for _, i := range sub {
+				res.scalar(q, targets, i, sc, ab)
+			}
 			continue
 		}
-		for l := 0; l < ls.Lanes; l++ {
-			if ls.Saturated&(1<<uint(l)) != 0 {
-				scalar = append(scalar, narrow[lo+l])
-			} else {
-				out[narrow[lo+l]] = ls.Scores[l]
+		res.Padded += int64(bio.PackedLanes16) * int64(width) * int64(ls.Rows)
+		for l, i := range sub {
+			switch {
+			case ls.Pruned:
+				res.Pruned[i], res.Rows[i] = true, ls.Rows
+			case ls.Saturated&(1<<uint(l)) != 0:
+				res.scalar(q, targets, i, sc, ab)
+			default:
+				res.Scores[i] = ls.Scores[l]
 			}
 		}
 	}
-	for _, idx := range scalar {
-		out[idx] = scalarScore(q, targets[idx], sc)
-	}
-	return out, nil
+	return res, nil
+}
+
+// scalar resolves target i on the ladder's last rung, which always
+// succeeds exactly.
+func (r *LadderScores) scalar(q bio.Sequence, targets []bio.Sequence, i int, sc bio.Scoring, ab *Bound) {
+	r.Scores[i], r.Rows[i], r.Pruned[i] = ScalarScoreBounded(q, targets[i], sc, ab)
+	r.Padded += int64(len(targets[i])) * int64(r.Rows[i])
 }

@@ -92,11 +92,25 @@ func scalarScores(t *testing.T, q bio.Sequence, targets []bio.Sequence, sc bio.S
 	return out
 }
 
+// ladderScores runs the full fallback ladder over targets cut into
+// lane groups of 8 and returns the exact scores.
+func ladderScores(al *swar.Aligner, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) ([]int, error) {
+	out := make([]int, 0, len(targets))
+	for lo := 0; lo < len(targets); lo += bio.PackedLanes8 {
+		res, err := al.Ladder(q, targets[lo:min(lo+bio.PackedLanes8, len(targets))], sc, swar.Rung8, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res.Scores...)
+	}
+	return out, nil
+}
+
 // checkScores runs the full fallback chain and compares against scalar.
 func checkScores(t *testing.T, name string, q bio.Sequence, targets []bio.Sequence, sc bio.Scoring) {
 	t.Helper()
 	var al swar.Aligner
-	got, err := al.Scores(q, targets, sc)
+	got, err := ladderScores(&al, q, targets, sc)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -156,7 +170,7 @@ func TestScoresWithN(t *testing.T) {
 	checkScores(t, "with-N", q, targets, sc)
 	// The all-N target must score 0: 'N' never matches, even itself.
 	var al swar.Aligner
-	got, err := al.Scores(q, targets, sc)
+	got, err := ladderScores(&al, q, targets, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +185,8 @@ func TestScoresEmpty(t *testing.T) {
 	checkScores(t, "empty-query", bio.Sequence{}, []bio.Sequence{g.Random(50), {}}, sc)
 	checkScores(t, "empty-targets", g.Random(50), []bio.Sequence{{}, {}, {}}, sc)
 	var al swar.Aligner
-	got, err := al.Scores(g.Random(10), nil, sc)
-	if err != nil || len(got) != 0 {
+	res, err := al.Ladder(g.Random(10), nil, sc, swar.Rung8, nil, nil)
+	if got := res.Scores; err != nil || len(got) != 0 {
 		t.Errorf("no targets: got %v, %v", got, err)
 	}
 }
@@ -201,6 +215,39 @@ func TestScoresSaturation(t *testing.T) {
 		t.Errorf("score-100 lane wrongly saturated: mask %08b", ls.Saturated)
 	}
 	checkScores(t, "saturation", q, targets, sc)
+}
+
+// TestScoresLadderSaturationEvidence pins the ladder's int8 evidence on
+// a group with exactly one saturating lane: the completed int8 pass
+// flags that lane alone, and the padded cells are the full 8-lane int8
+// pass plus one 4-lane int16 retry at the saturated lane's width.
+func TestScoresLadderSaturationEvidence(t *testing.T) {
+	g := bio.NewGenerator(41)
+	sc := bio.DefaultScoring()
+	q := g.Random(300)
+	targets := []bio.Sequence{g.Random(250), q.Clone(), g.Random(200), g.Random(100)}
+	var al swar.Aligner
+	res, err := al.Ladder(q, targets, sc, swar.Rung8, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ran8 || res.Sat8 != 0b0010 {
+		t.Fatalf("int8 evidence: ran %v mask %04b, want ran with mask 0010", res.Ran8, res.Sat8)
+	}
+	if want := int64(8*300*300 + 4*300*300); res.Padded != want {
+		t.Errorf("padded cells %d, want %d", res.Padded, want)
+	}
+	want := scalarScores(t, q, targets, sc)
+	for i := range want {
+		if res.Scores[i] != want[i] || res.Pruned[i] || res.Rows[i] != len(q) {
+			t.Errorf("target %d: score %d pruned %v rows %d, want %d unpruned over %d rows",
+				i, res.Scores[i], res.Pruned[i], res.Rows[i], want[i], len(q))
+		}
+	}
+	// Starting past the int8 rung produces no int8 evidence.
+	if res, err = al.Ladder(q, targets, sc, swar.Rung16, nil, nil); err != nil || res.Ran8 {
+		t.Fatalf("int16 start: ran8 %v, err %v", res.Ran8, err)
+	}
 }
 
 // TestScoresScalarFallback forces the full chain down to align.Scan: a
@@ -256,7 +303,7 @@ func TestAlignerReuse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q := g.Random(10 + i*37)
 		targets := []bio.Sequence{g.Random(200 - i*13), g.Random(5 + i), g.MutatedCopy(q, bio.DefaultMutationModel())}
-		got, err := al.Scores(q, targets, sc)
+		got, err := ladderScores(&al, q, targets, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 #!/bin/sh
 # ci.sh — the repo's full verification pipeline:
 #
-#   1. go vet, build, and the test suite under the race detector
+#   1. go vet, build, vet + tests of the separate perfbench module
+#      (root `go test ./...` does not compile it, yet it imports the
+#      internal APIs), and the test suite under the race detector
 #      (plus a doubled -race pass over the concurrency-heavy SWAR,
 #      align, search, dispatch, dbpack and server packages — the
 #      striped kernels, their pooled aligners, the adaptive routing
@@ -33,7 +35,8 @@
 #      SearchDatabase, plus the dispatch routing gate: auto-dispatched
 #      scans must hold parity with the best fixed route on the uniform
 #      and skewed databases and beat every fixed route outright on the
-#      mixed database (where no single fixed route wins both halves),
+#      mixed database (where no single fixed route wins both halves;
+#      the int16 comparator is a router forced to the int16 route),
 #      plus the serve batching gate: one 16-query POST must beat 16
 #      sequential single-query POSTs by >= 1.5x queries/s, plus the
 #      pack cold-start gate: opening + first query on a v2 (mmap) pack
@@ -62,6 +65,9 @@ go vet ./...
 
 echo "== go build"
 go build ./...
+
+echo "== perfbench module (go vet + go test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race"
 go test -race ./...
@@ -235,7 +241,9 @@ echo "== dispatch routing gate (auto vs fixed routes)"
 # mixed database (saturating homologs + provably non-saturating noise)
 # no single fixed route wins both halves, so auto must beat the best
 # fixed route outright; that is the structural win routing exists to
-# capture (≈1.15-1.3x on the dev host).
+# capture (≈1.15-1.3x on the dev host). The two fixed comparators are
+# Dispatch "fixed" (the int8 ladder) and SearchDatabaseMixedLanes16, a
+# router whose ForceGroup pins every group to the int16 route.
 dauto=$(best SearchDatabaseDispatch)
 dfixed=$(best SearchDatabaseFixed)
 skewfixed=$(best SearchDatabaseSkewedFixed)
