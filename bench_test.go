@@ -402,7 +402,7 @@ func BenchmarkSearchDatabaseMixedLanes16(b *testing.B) {
 // length-sorted scan order therefore meets the planted hits first, the
 // top-K floor ratchets to the query's identity score immediately, and
 // every noise record is either skipped by the O(1) record bound or
-// abandoned at the first cadence check.
+// abandoned soon after its first possible abandon row.
 func benchSkewedDB() (bio.Sequence, []bio.Record, int64) {
 	g := bio.NewGenerator(88)
 	q := g.Random(1000)

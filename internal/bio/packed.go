@@ -56,6 +56,9 @@ type PackedProfile struct {
 	lens  []int
 	plus  [AlphabetSize][]uint64
 	minus [AlphabetSize][]uint64
+	// backing is the one allocation every plus and minus row slices;
+	// Reset8FromWords refills it in place when it is large enough.
+	backing []uint64
 }
 
 // NewPackedProfile8 builds the 8-lane int8 packed profile of up to 8
@@ -88,8 +91,8 @@ func newPackedProfile(targets []Sequence, sc Scoring, lanes int, shift uint, cap
 			words = len(t)
 		}
 	}
-	p := &PackedProfile{lanes: lanes, shift: shift, cap: capVal, words: words, lens: lens}
 	backing := make([]uint64, 2*AlphabetSize*words)
+	p := &PackedProfile{lanes: lanes, shift: shift, cap: capVal, words: words, lens: lens, backing: backing}
 	for c := 0; c < AlphabetSize; c++ {
 		p.plus[c] = backing[2*c*words : (2*c+1)*words : (2*c+1)*words]
 		p.minus[c] = backing[(2*c+1)*words : (2*c+2)*words : (2*c+2)*words]

@@ -6,7 +6,7 @@ package bio
 // (BaseCode) of target lane l at j, with lanes past a target's end — and
 // lanes with no target at all — holding PadCode. The layout is exactly
 // the shape the inter-sequence SWAR kernels consume: building a
-// PackedProfile from it (NewPackedProfile8FromWords) replaces the
+// PackedProfile from it (PackedProfile.Reset8FromWords) replaces the
 // per-lane byte gather of NewPackedProfile8 with five word-wide
 // compares per position, and the words themselves are query- and
 // scoring-independent, so `genomedsm index` computes them once and a
@@ -66,22 +66,27 @@ func eqMask8(w, pattern uint64) uint64 {
 
 const hiBits8 = 0x8080808080808080
 
-// NewPackedProfile8FromWords builds the 8-lane int8 packed profile of a
-// lane group from its interleaved code words instead of the target
-// bytes. lens holds the true length of each live lane (≤ 8 lanes); the
-// words must be the group's InterleaveWords8 output, i.e. max(lens)
-// words with PadCode in every padded byte. The result is bit-identical
-// — every plus and minus row — to NewPackedProfile8 over the same
-// targets and scoring (pinned by TestPackedProfileFromWords), and nil
-// under exactly the same conditions: more than 8 lanes, or scoring
-// magnitudes outside the clean 7-bit lane range.
-func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedProfile {
+// Reset8FromWords refills p with the 8-lane int8 packed profile of a
+// lane group built from its interleaved code words instead of the
+// target bytes, reusing p's row storage when it is large enough — so a
+// scan worker keeps one profile buffer across lane groups instead of
+// allocating a fresh one per group. lens holds the true length of each
+// live lane (≤ 8 lanes); the words must be the group's InterleaveWords8
+// output, i.e. max(lens) words with PadCode in every padded byte. The
+// result is bit-identical — every plus and minus row — to
+// NewPackedProfile8 over the same targets and scoring (pinned by
+// TestPackedProfileFromWords). It reports false, and leaves p
+// unchanged, exactly when NewPackedProfile8 would return nil — more
+// than 8 lanes, or scoring magnitudes outside the clean 7-bit lane
+// range — and also when the words do not cover the lanes. A profile
+// being reset must not be in use by another goroutine.
+func (p *PackedProfile) Reset8FromWords(words []uint64, lens []int, sc Scoring) bool {
 	if len(lens) > PackedLanes8 {
-		return nil
+		return false
 	}
 	match, mismatch := sc.Match, -sc.Mismatch
 	if match < 0 || match > PackedCap8 || mismatch < 0 || mismatch > PackedCap8 {
-		return nil
+		return false
 	}
 	n := 0
 	for _, l := range lens {
@@ -92,16 +97,18 @@ func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedP
 	if n != len(words) {
 		// The words do not cover the group they claim to describe — a
 		// corrupt layout must never produce a silently wrong profile.
-		return nil
+		return false
 	}
-	p := &PackedProfile{
-		lanes: PackedLanes8, shift: 8, cap: PackedCap8, words: n,
-		lens: append([]int(nil), lens...),
+	p.lanes, p.shift, p.cap, p.words = PackedLanes8, 8, PackedCap8, n
+	p.lens = append(p.lens[:0], lens...)
+	need := 2 * AlphabetSize * n
+	if p.backing == nil || cap(p.backing) < need {
+		p.backing = make([]uint64, need)
 	}
-	backing := make([]uint64, 2*AlphabetSize*n)
+	p.backing = p.backing[:need]
 	for c := 0; c < AlphabetSize; c++ {
-		p.plus[c] = backing[2*c*n : (2*c+1)*n : (2*c+1)*n]
-		p.minus[c] = backing[(2*c+1)*n : (2*c+2)*n : (2*c+2)*n]
+		p.plus[c] = p.backing[2*c*n : (2*c+1)*n : (2*c+1)*n]
+		p.minus[c] = p.backing[(2*c+1)*n : (2*c+2)*n : (2*c+2)*n]
 	}
 	mv := uint64(match) * 0x0101010101010101
 	allMiss := uint64(mismatch) * 0x0101010101010101
@@ -111,6 +118,7 @@ func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedP
 			// The unknown query row matches nothing — including a target
 			// 'N' whose code equals codeUnknown — so equality must not
 			// apply; the whole row is the all-mismatch column.
+			clear(plus)
 			for j := range minus {
 				minus[j] = allMiss
 			}
@@ -123,5 +131,5 @@ func NewPackedProfile8FromWords(words []uint64, lens []int, sc Scoring) *PackedP
 			minus[j] = allMiss &^ eq
 		}
 	}
-	return p
+	return true
 }

@@ -37,6 +37,7 @@ func TestPackedProfileFromWords(t *testing.T) {
 		{Match: 1, Mismatch: -1, Gap: -1},
 		{Match: 127, Mismatch: -127, Gap: -127},
 	}
+	var reused PackedProfile
 	for trial := 0; trial < 200; trial++ {
 		nt := 1 + rng.Intn(PackedLanes8)
 		targets := make([]Sequence, nt)
@@ -54,37 +55,47 @@ func TestPackedProfileFromWords(t *testing.T) {
 		words := InterleaveWords8(nil, targets)
 		sc := scorings[trial%len(scorings)]
 		want := NewPackedProfile8(targets, sc)
-		got := NewPackedProfile8FromWords(words, lensOf(targets), sc)
-		if want == nil || got == nil {
-			t.Fatalf("trial %d: nil profile (want=%v got=%v)", trial, want == nil, got == nil)
+		got := &PackedProfile{}
+		if want == nil || !got.Reset8FromWords(words, lensOf(targets), sc) {
+			t.Fatalf("trial %d: profile refused (want nil=%v)", trial, want == nil)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d: from-words profile differs from from-targets profile\ntargets=%q sc=%+v", trial, targets, sc)
 		}
+		// One profile reset across every trial — the per-worker reuse
+		// path — must match too, whatever the previous group left in
+		// its storage.
+		if !reused.Reset8FromWords(words, lensOf(targets), sc) {
+			t.Fatalf("trial %d: reset refused a valid group", trial)
+		}
+		if !reflect.DeepEqual(want, &reused) {
+			t.Fatalf("trial %d: reset profile differs from from-targets profile\ntargets=%q sc=%+v", trial, targets, sc)
+		}
 	}
 }
 
-// TestPackedProfileFromWordsRejects pins the nil conditions: they must
-// match NewPackedProfile8 exactly, plus the extra corrupt-layout guard
-// when the word count disagrees with the claimed lane lengths.
+// TestPackedProfileFromWordsRejects pins the refusal conditions: they
+// must match NewPackedProfile8's nil conditions exactly, plus the extra
+// corrupt-layout guard when the word count disagrees with the claimed
+// lane lengths.
 func TestPackedProfileFromWordsRejects(t *testing.T) {
 	targets := []Sequence{Sequence("ACGT"), Sequence("AC")}
 	words := InterleaveWords8(nil, targets)
 	lens := lensOf(targets)
-	if p := NewPackedProfile8FromWords(words, lens, Scoring{Match: 200, Mismatch: -1, Gap: -1}); p != nil {
-		t.Fatalf("match magnitude beyond the int8 cap must yield nil")
+	if (&PackedProfile{}).Reset8FromWords(words, lens, Scoring{Match: 200, Mismatch: -1, Gap: -1}) {
+		t.Fatalf("match magnitude beyond the int8 cap must be refused")
 	}
-	if p := NewPackedProfile8FromWords(words, lens, Scoring{Match: 1, Mismatch: -200, Gap: -1}); p != nil {
-		t.Fatalf("mismatch magnitude beyond the int8 cap must yield nil")
+	if (&PackedProfile{}).Reset8FromWords(words, lens, Scoring{Match: 1, Mismatch: -200, Gap: -1}) {
+		t.Fatalf("mismatch magnitude beyond the int8 cap must be refused")
 	}
-	if p := NewPackedProfile8FromWords(words, make([]int, 9), DefaultScoring()); p != nil {
-		t.Fatalf("more than 8 lanes must yield nil")
+	if (&PackedProfile{}).Reset8FromWords(words, make([]int, 9), DefaultScoring()) {
+		t.Fatalf("more than 8 lanes must be refused")
 	}
-	if p := NewPackedProfile8FromWords(words[:len(words)-1], lens, DefaultScoring()); p != nil {
-		t.Fatalf("truncated words must yield nil, not a wrong profile")
+	if (&PackedProfile{}).Reset8FromWords(words[:len(words)-1], lens, DefaultScoring()) {
+		t.Fatalf("truncated words must be refused, not give a wrong profile")
 	}
-	if p := NewPackedProfile8FromWords(append(words[:len(words):len(words)], 0), lens, DefaultScoring()); p != nil {
-		t.Fatalf("overlong words must yield nil, not a wrong profile")
+	if (&PackedProfile{}).Reset8FromWords(append(words[:len(words):len(words)], 0), lens, DefaultScoring()) {
+		t.Fatalf("overlong words must be refused, not give a wrong profile")
 	}
 }
 
@@ -121,9 +132,9 @@ func FuzzPackedProfileFromWords(f *testing.F) {
 		targets := []Sequence{Sequence(a), Sequence(b)}
 		words := InterleaveWords8(nil, targets)
 		want := NewPackedProfile8(targets, sc)
-		got := NewPackedProfile8FromWords(words, lensOf(targets), sc)
-		if (want == nil) != (got == nil) {
-			t.Fatalf("nil disagreement: want=%v got=%v", want == nil, got == nil)
+		got := &PackedProfile{}
+		if ok := got.Reset8FromWords(words, lensOf(targets), sc); (want == nil) == ok {
+			t.Fatalf("refusal disagreement: want nil=%v reset ok=%v", want == nil, ok)
 		}
 		if want != nil && !reflect.DeepEqual(want, got) {
 			t.Fatalf("profiles differ for %q %q %+v", a, b, sc)

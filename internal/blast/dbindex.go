@@ -3,13 +3,12 @@ package blast
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"genomedsm/internal/bio"
 )
 
 // DBWordIndex is the database-side counterpart of WordIndex: every exact
-// w-mer of every database record, hashed once at index time. Where
+// w-mer of every database record, sorted once at index time. Where
 // WordIndex indexes one query and scans each record (one pass over the
 // database per query), DBWordIndex indexes the records and scans the
 // query (one pass over the query per query) — the shape a resident
@@ -23,26 +22,22 @@ import (
 // not depend on which side seeded it.
 type DBWordIndex struct {
 	w    int
-	recs []bio.Sequence
-	// idx is the build-side representation: NewDBWordIndex appends
-	// postings per word as it scans, which wants a map. nil for a
-	// restored index.
-	idx map[uint32][]DBPosting
-	// words/posts is the restore-side representation: pack files store
-	// words sorted, so a loaded index binary-searches the sorted pair
-	// instead of paying a posting-count-sized map build on every load —
-	// the dominant cost of opening a pack with an embedded index.
+	recs []bio.Record
+	// The index is three flat arrays — the shape a pack file stores, so
+	// a loaded index is a set of views over the mapped bytes and opening
+	// it allocates nothing per word: words holds the distinct words
+	// strictly ascending, and the postings of words[i] are
+	// flat[offs[i]:offs[i+1]], record ascending then position ascending.
 	words []uint32
-	posts [][]DBPosting
+	offs  []uint32 // len(words)+1 prefix offsets into flat
+	flat  []DBPosting
 }
 
-// lookup returns the posting list for word under either representation.
+// lookup returns the posting list for word by binary search over the
+// sorted word array.
 func (ix *DBWordIndex) lookup(word uint32) []DBPosting {
-	if ix.idx != nil {
-		return ix.idx[word]
-	}
 	if i, ok := slices.BinarySearch(ix.words, word); ok {
-		return ix.posts[i]
+		return ix.flat[ix.offs[i]:ix.offs[i+1]]
 	}
 	return nil
 }
@@ -56,15 +51,20 @@ type DBPosting struct {
 
 // NewDBWordIndex indexes every exact w-mer of every record. It returns
 // nil when w is outside the supported [4,15] range; records shorter
-// than one word simply contribute no postings.
+// than one word simply contribute no postings. The records are kept by
+// reference, not copied.
 func NewDBWordIndex(db []bio.Record, w int) *DBWordIndex {
 	if w < 4 || w > 15 {
 		return nil
 	}
-	ix := &DBWordIndex{w: w, recs: make([]bio.Sequence, len(db)), idx: make(map[uint32][]DBPosting)}
+	// Collect every occurrence in (record, position) order, keyed by
+	// word in the high half and occurrence number in the low half:
+	// sorting the keys groups postings by word and keeps each word's
+	// postings in (record, position) order, the order Export promises.
+	var keys []uint64
+	var posts []DBPosting
 	mask := uint32(1)<<(2*uint(w)) - 1
 	for r, rec := range db {
-		ix.recs[r] = rec.Seq
 		var word uint32
 		valid := 0
 		for i := 0; i < rec.Seq.Len(); i++ {
@@ -76,30 +76,44 @@ func NewDBWordIndex(db []bio.Record, w int) *DBWordIndex {
 			word = (word<<2 | code) & mask
 			valid++
 			if valid >= w {
-				ix.idx[word] = append(ix.idx[word], DBPosting{Rec: int32(r), Pos: int32(i - w + 1)})
+				keys = append(keys, uint64(word)<<32|uint64(len(posts)))
+				posts = append(posts, DBPosting{Rec: int32(r), Pos: int32(i - w + 1)})
 			}
 		}
 	}
+	slices.Sort(keys)
+	ix := &DBWordIndex{w: w, recs: db, flat: make([]DBPosting, len(keys))}
+	for i, k := range keys {
+		ix.flat[i] = posts[uint32(k)]
+		if word := uint32(k >> 32); i == 0 || word != ix.words[len(ix.words)-1] {
+			ix.words = append(ix.words, word)
+			ix.offs = append(ix.offs, uint32(i))
+		}
+	}
+	ix.offs = append(ix.offs, uint32(len(keys)))
 	return ix
 }
 
-// RestoreDBWordIndex rebuilds an index from serialized postings (the
-// dbpack codec stores words sorted with their posting lists). Posting
-// ranges are validated against the records so a malformed pack cannot
-// make lookups panic; the scores themselves stay true lower bounds for
-// ANY posting content, because SeedScores extends seeds over the actual
-// record bases — a wrong posting merely seeds a worse (but still real)
-// ungapped alignment.
-func RestoreDBWordIndex(db []bio.Record, w int, words []uint32, postings [][]DBPosting) (*DBWordIndex, error) {
+// RestoreDBWordIndex rebuilds an index from its serialized arrays (the
+// dbpack codecs store exactly Export's shape) without copying them: a
+// pack opened by mmap hands in views over the mapped bytes. Every array
+// is validated against the records so a malformed pack cannot make
+// lookups panic or silently lose postings; the scores themselves stay
+// true lower bounds for ANY posting content, because SeedScores extends
+// seeds over the actual record bases — a wrong posting merely seeds a
+// worse (but still real) ungapped alignment.
+func RestoreDBWordIndex(db []bio.Record, w int, words, offs []uint32, flat []DBPosting) (*DBWordIndex, error) {
 	if w < 4 || w > 15 {
 		return nil, fmt.Errorf("blast: word size %d outside [4,15]", w)
 	}
-	if len(words) != len(postings) {
-		return nil, fmt.Errorf("blast: %d words with %d posting lists", len(words), len(postings))
+	if len(offs) != len(words)+1 {
+		return nil, fmt.Errorf("blast: %d offsets for %d words, want %d", len(offs), len(words), len(words)+1)
 	}
-	ix := &DBWordIndex{w: w, recs: make([]bio.Sequence, len(db)), words: words, posts: postings}
-	for r, rec := range db {
-		ix.recs[r] = rec.Seq
+	if offs[0] != 0 {
+		return nil, fmt.Errorf("blast: first posting offset %d, want 0", offs[0])
+	}
+	if int64(offs[len(words)]) != int64(len(flat)) {
+		return nil, fmt.Errorf("blast: offsets cover %d postings of %d", offs[len(words)], len(flat))
 	}
 	max := uint32(1)<<(2*uint(w)) - 1
 	for i, word := range words {
@@ -107,20 +121,23 @@ func RestoreDBWordIndex(db []bio.Record, w int, words []uint32, postings [][]DBP
 			return nil, fmt.Errorf("blast: word %#x exceeds the %d-mer space", word, w)
 		}
 		if i > 0 && word <= words[i-1] {
-			// The sorted-slice representation binary-searches, so an
-			// unsorted table would silently lose postings — reject it.
+			// Lookups binary-search the word array, so an unsorted table
+			// would silently lose postings — reject it.
 			return nil, fmt.Errorf("blast: word table not strictly ascending at entry %d", i)
 		}
-		for _, p := range postings[i] {
-			if p.Rec < 0 || int(p.Rec) >= len(db) {
-				return nil, fmt.Errorf("blast: posting names record %d of %d", p.Rec, len(db))
-			}
-			if p.Pos < 0 || int(p.Pos)+w > ix.recs[p.Rec].Len() {
-				return nil, fmt.Errorf("blast: posting at %d overruns record %d (len %d)", p.Pos, p.Rec, ix.recs[p.Rec].Len())
-			}
+		if offs[i+1] < offs[i] {
+			return nil, fmt.Errorf("blast: posting offsets descend at entry %d", i+1)
 		}
 	}
-	return ix, nil
+	for _, p := range flat {
+		if p.Rec < 0 || int(p.Rec) >= len(db) {
+			return nil, fmt.Errorf("blast: posting names record %d of %d", p.Rec, len(db))
+		}
+		if p.Pos < 0 || int(p.Pos)+w > db[p.Rec].Seq.Len() {
+			return nil, fmt.Errorf("blast: posting at %d overruns record %d (len %d)", p.Pos, p.Rec, db[p.Rec].Seq.Len())
+		}
+	}
+	return &DBWordIndex{w: w, recs: db, words: words, offs: offs, flat: flat}, nil
 }
 
 // Word returns the index's word size.
@@ -130,38 +147,15 @@ func (ix *DBWordIndex) Word() int { return ix.w }
 func (ix *DBWordIndex) Records() int { return len(ix.recs) }
 
 // Postings returns the count of indexed word occurrences.
-func (ix *DBWordIndex) Postings() int {
-	n := 0
-	if ix.idx != nil {
-		for _, ps := range ix.idx {
-			n += len(ps)
-		}
-		return n
-	}
-	for _, ps := range ix.posts {
-		n += len(ps)
-	}
-	return n
-}
+func (ix *DBWordIndex) Postings() int { return len(ix.flat) }
 
-// Export returns the index content in deterministic serialization
-// order: words ascending, each with its posting list (record ascending,
-// position ascending — the insertion order of NewDBWordIndex). A
-// restored index already holds that exact shape and returns it as is.
-func (ix *DBWordIndex) Export() (words []uint32, postings [][]DBPosting) {
-	if ix.idx == nil {
-		return ix.words, ix.posts
-	}
-	words = make([]uint32, 0, len(ix.idx))
-	for w := range ix.idx {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(a, b int) bool { return words[a] < words[b] })
-	postings = make([][]DBPosting, len(words))
-	for i, w := range words {
-		postings[i] = ix.idx[w]
-	}
-	return words, postings
+// Export returns the index arrays in deterministic serialization order:
+// the distinct words ascending, the len(words)+1 prefix offsets, and
+// the flat postings (per word, record ascending then position
+// ascending). The slices are the index's own; callers must not modify
+// them.
+func (ix *DBWordIndex) Export() (words, offs []uint32, flat []DBPosting) {
+	return ix.words, ix.offs, ix.flat
 }
 
 // SeedScores returns, per record, an exact lower bound on the best
@@ -202,7 +196,7 @@ func (ix *DBWordIndex) SeedScores(q bio.Sequence, sc bio.Scoring, xdrop int) []i
 			if covered[key] >= int(p.Pos)+ix.w {
 				continue
 			}
-			h := extend(q, ix.recs[p.Rec], sc, qStart, int(p.Pos), ix.w, xdrop)
+			h := extend(q, ix.recs[p.Rec].Seq, sc, qStart, int(p.Pos), ix.w, xdrop)
 			covered[key] = h.t1
 			if h.score > best[p.Rec] {
 				best[p.Rec] = h.score

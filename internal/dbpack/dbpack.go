@@ -94,15 +94,16 @@ func (p *Pack) Encode() []byte {
 	w.Int32s(lens)
 	w.Int(p.Word)
 	if ix := p.DB.WordIndex(); p.Word != 0 && ix != nil {
-		words, postings := ix.Export()
+		words, offs, flat := ix.Export()
 		w.Uint(uint64(len(words)))
 		for i, word := range words {
 			w.Uint(uint64(word))
-			flat := make([]int32, 0, 2*len(postings[i]))
-			for _, pt := range postings[i] {
-				flat = append(flat, pt.Rec, pt.Pos)
+			ps := flat[offs[i]:offs[i+1]]
+			pairs := make([]int32, 0, 2*len(ps))
+			for _, pt := range ps {
+				pairs = append(pairs, pt.Rec, pt.Pos)
 			}
-			w.Int32s(flat)
+			w.Int32s(pairs)
 		}
 	}
 	blob := w.Finish()
@@ -184,26 +185,26 @@ func Decode(blob []byte) (*Pack, error) {
 			return nil, fmt.Errorf("dbpack: implausible word count %d in %d-byte pack", nw, len(blob))
 		}
 		words := make([]uint32, nw)
-		postings := make([][]blast.DBPosting, nw)
+		offs := make([]uint32, 1, nw+1)
+		var flat []blast.DBPosting
 		for i := 0; i < nw; i++ {
 			words[i] = uint32(r.Uint())
-			flat := r.Int32s()
+			pairs := r.Int32s()
 			if r.Err() != nil {
 				return nil, fmt.Errorf("dbpack: %w", r.Err())
 			}
-			if len(flat)%2 != 0 {
+			if len(pairs)%2 != 0 {
 				return nil, fmt.Errorf("dbpack: odd posting table for word %#x", words[i])
 			}
 			if i > 0 && words[i] <= words[i-1] {
 				return nil, fmt.Errorf("dbpack: word table not strictly ascending at entry %d", i)
 			}
-			ps := make([]blast.DBPosting, len(flat)/2)
-			for j := range ps {
-				ps[j] = blast.DBPosting{Rec: flat[2*j], Pos: flat[2*j+1]}
+			for j := 0; j < len(pairs); j += 2 {
+				flat = append(flat, blast.DBPosting{Rec: pairs[j], Pos: pairs[j+1]})
 			}
-			postings[i] = ps
+			offs = append(offs, uint32(len(flat)))
 		}
-		ix, err := blast.RestoreDBWordIndex(recs, word, words, postings)
+		ix, err := blast.RestoreDBWordIndex(recs, word, words, offs, flat)
 		if err != nil {
 			return nil, fmt.Errorf("dbpack: %w", err)
 		}

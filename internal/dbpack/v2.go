@@ -25,7 +25,7 @@ import (
 // validate-header-and-map instead of decode-and-rebuild.
 //
 //	offset 0   magic "GDMPACK\x02"
-//	       8   u32 version (=2)
+//	       8   u32 version (=3: the flat word-index layout of decodeBlastV2)
 //	      12   u32 section count
 //	      16   u32 prefilter word size (0 = no blast section)
 //	      20   u32 record count
@@ -48,7 +48,7 @@ import (
 // never trusted: it can only slow a load, never corrupt a result.
 const (
 	magicV2       = "GDMPACK\x02"
-	packVersionV2 = 2
+	packVersionV2 = 3
 	// pageAlign is the section alignment: a page, so mmap'd sections can
 	// be reinterpreted as []uint64 (mmap bases are page-aligned) and
 	// section starts never share a cache line with foreign bytes.
@@ -122,35 +122,38 @@ type Info struct {
 	Notice string
 }
 
-// hostLittleEndian gates the zero-copy []byte→[]uint64 reinterpretation:
-// the file is little-endian, so on a big-endian host every word view
-// falls back to an allocating decode.
+// hostLittleEndian gates the zero-copy reinterpretation of mapped bytes
+// as typed arrays: the file is little-endian, so on a big-endian host
+// every view falls back to an allocating decode.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// u64sView reinterprets b as []uint64 in place when the host is
-// little-endian and b is 8-aligned; ok=false demands the decode fallback.
-func u64sView(b []byte) ([]uint64, bool) {
-	if !hostLittleEndian || len(b)%8 != 0 {
-		return nil, false
-	}
+// viewOf reinterprets b as []T in place when the host is little-endian
+// and b is aligned for T — the zero-copy path every mapped array takes —
+// and otherwise decodes a copy, one element per unsafe.Sizeof(T) bytes,
+// with dec. heap is the bytes the copy allocated (0 for a view).
+func viewOf[T any](b []byte, dec func([]byte) T) (v []T, heap int64) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
 	if len(b) == 0 {
-		return nil, true
+		return nil, 0
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		return nil, false
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(zero) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/size), 0
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8), true
+	v = make([]T, len(b)/size)
+	for i := range v {
+		v[i] = dec(b[size*i:])
+	}
+	return v, int64(len(v) * size)
 }
 
-func u64sDecode(b []byte) []uint64 {
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out
+// decodePosting reads one little-endian {u32 rec, u32 pos} pair, the
+// byte image of a blast.DBPosting.
+func decodePosting(b []byte) blast.DBPosting {
+	return blast.DBPosting{Rec: int32(binary.LittleEndian.Uint32(b)), Pos: int32(binary.LittleEndian.Uint32(b[4:]))}
 }
 
 // sum64 is the v2 integrity checksum: FNV-1a folded over 8-byte words
@@ -211,17 +214,17 @@ func EncodeV2(p *Pack) ([]byte, error) {
 		if ix == nil {
 			return nil, fmt.Errorf("dbpack: word size %d set but no index attached", p.Word)
 		}
-		words, postings := ix.Export()
+		words, offs, flat := ix.Export()
 		blastb = binary.LittleEndian.AppendUint32(blastb, uint32(len(words)))
-		for i, word := range words {
+		for _, word := range words {
 			blastb = binary.LittleEndian.AppendUint32(blastb, word)
-			blastb = binary.LittleEndian.AppendUint32(blastb, uint32(len(postings[i])))
 		}
-		for _, ps := range postings {
-			for _, pt := range ps {
-				blastb = binary.LittleEndian.AppendUint32(blastb, uint32(pt.Rec))
-				blastb = binary.LittleEndian.AppendUint32(blastb, uint32(pt.Pos))
-			}
+		for _, o := range offs {
+			blastb = binary.LittleEndian.AppendUint32(blastb, o)
+		}
+		for _, pt := range flat {
+			blastb = binary.LittleEndian.AppendUint32(blastb, uint32(pt.Rec))
+			blastb = binary.LittleEndian.AppendUint32(blastb, uint32(pt.Pos))
 		}
 	}
 	for _, o := range lay.Offsets() {
@@ -280,7 +283,9 @@ func decodeV2(data []byte, info Info) (*Pack, error) {
 	if len(data) < v2FixedHdr+8 {
 		return nil, fmt.Errorf("dbpack: truncated v2 header (%d bytes)", len(data))
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != packVersionV2 {
+	if v := binary.LittleEndian.Uint32(data[8:]); v < packVersionV2 {
+		return nil, fmt.Errorf("dbpack: pack format version %d is older than %d; re-run `genomedsm index` to rebuild it", v, packVersionV2)
+	} else if v != packVersionV2 {
 		return nil, fmt.Errorf("dbpack: pack format version %d, want %d", v, packVersionV2)
 	}
 	ns := int(binary.LittleEndian.Uint32(data[12:]))
@@ -336,10 +341,7 @@ func decodeV2(data []byte, info Info) (*Pack, error) {
 	if len(seqoffB) != 8*(n+1) {
 		return nil, fmt.Errorf("dbpack: seq offset table holds %d bytes for %d records", len(seqoffB), n)
 	}
-	seqoff, ok := u64sView(seqoffB)
-	if !ok {
-		seqoff = u64sDecode(seqoffB)
-	}
+	seqoff, _ := viewOf(seqoffB, binary.LittleEndian.Uint64)
 	if seqoff[0] != 0 || seqoff[n] != uint64(len(seqB)) {
 		return nil, fmt.Errorf("dbpack: seq offsets cover [%d,%d) of %d sequence bytes", seqoff[0], seqoff[n], len(seqB))
 	}
@@ -442,14 +444,8 @@ func layoutFromSections(goffB, lanesB []byte) (*search.Layout, error) {
 	if len(goffB)%8 != 0 || len(lanesB)%8 != 0 {
 		return nil, fmt.Errorf("dbpack: layout sections hold %d/%d bytes, want multiples of 8", len(goffB), len(lanesB))
 	}
-	words, ok := u64sView(lanesB)
-	if !ok {
-		words = u64sDecode(lanesB)
-	}
-	goff, ok := u64sView(goffB)
-	if !ok {
-		goff = u64sDecode(goffB)
-	}
+	words, _ := viewOf(lanesB, binary.LittleEndian.Uint64)
+	goff, _ := viewOf(goffB, binary.LittleEndian.Uint64)
 	offs := make([]int64, len(goff))
 	for i, o := range goff {
 		if o > uint64(len(words)) {
@@ -460,61 +456,36 @@ func layoutFromSections(goffB, lanesB []byte) (*search.Layout, error) {
 	return search.NewLayoutView(offs, words)
 }
 
+// decodeBlastV2 restores the word index from its section:
+//
+//	u32 nw, nw × u32 words (ascending), (nw+1) × u32 prefix offsets,
+//	offs[nw] × {u32 rec, u32 pos}
+//
+// The postings start 8·(nw+1) bytes in, so they stay 8-aligned in a
+// page-aligned section. On a little-endian host all three arrays are
+// views into b — nothing is allocated per word or per posting — and the
+// index's heap share is 0; the decode fallback reports the bytes it
+// allocated.
 func decodeBlastV2(b []byte, recs []bio.Record, word int) (*blast.DBWordIndex, int64, error) {
-	if len(b) < 4 {
+	if len(b) < 8 {
 		return nil, 0, fmt.Errorf("dbpack: blast section too short")
 	}
-	nw := int(binary.LittleEndian.Uint32(b))
-	if nw < 0 || len(b) < 4+8*nw {
+	nw := uint64(binary.LittleEndian.Uint32(b))
+	if uint64(len(b)) < 8+8*nw {
 		return nil, 0, fmt.Errorf("dbpack: blast section holds %d bytes for %d words", len(b), nw)
 	}
-	words := make([]uint32, nw)
-	counts := make([]int, nw)
-	postings := make([][]blast.DBPosting, nw)
-	totalPosts := 0
-	for i := 0; i < nw; i++ {
-		words[i] = binary.LittleEndian.Uint32(b[4+8*i:])
-		counts[i] = int(binary.LittleEndian.Uint32(b[8+8*i:]))
-		if i > 0 && words[i] <= words[i-1] {
-			return nil, 0, fmt.Errorf("dbpack: word table not strictly ascending at entry %d", i)
-		}
-		if counts[i] < 0 || counts[i] > len(b) {
-			return nil, 0, fmt.Errorf("dbpack: implausible posting count %d", counts[i])
-		}
-		totalPosts += counts[i]
+	tail := uint64(len(b)) - (8 + 8*nw)
+	if tail%8 != 0 {
+		return nil, 0, fmt.Errorf("dbpack: blast posting table holds %d bytes, want a multiple of 8", tail)
 	}
-	if len(b) != 4+8*nw+8*totalPosts {
-		return nil, 0, fmt.Errorf("dbpack: blast section holds %d bytes, want %d", len(b), 4+8*nw+8*totalPosts)
-	}
-	flat := b[4+8*nw:]
-	// DBPosting is two int32s — byte-identical to the file's {u32 rec,
-	// u32 pos} little-endian pairs — so on a little-endian host the
-	// posting lists are zero-copy subslices of the mapped section; the
-	// decode fallback batches them into one flat allocation either way.
-	var flatPost []blast.DBPosting
-	if totalPosts > 0 {
-		if hostLittleEndian && uintptr(unsafe.Pointer(&flat[0]))%unsafe.Alignof(blast.DBPosting{}) == 0 {
-			flatPost = unsafe.Slice((*blast.DBPosting)(unsafe.Pointer(&flat[0])), totalPosts)
-		} else {
-			flatPost = make([]blast.DBPosting, totalPosts)
-			for j := range flatPost {
-				flatPost[j] = blast.DBPosting{
-					Rec: int32(binary.LittleEndian.Uint32(flat[8*j:])),
-					Pos: int32(binary.LittleEndian.Uint32(flat[8*j+4:])),
-				}
-			}
-		}
-	}
-	pos := 0
-	for i := 0; i < nw; i++ {
-		postings[i] = flatPost[pos : pos+counts[i] : pos+counts[i]]
-		pos += counts[i]
-	}
-	ix, err := blast.RestoreDBWordIndex(recs, word, words, postings)
+	words, hw := viewOf(b[4:4+4*nw], binary.LittleEndian.Uint32)
+	offs, ho := viewOf(b[4+4*nw:8+8*nw], binary.LittleEndian.Uint32)
+	flat, hp := viewOf(b[8+8*nw:], decodePosting)
+	ix, err := blast.RestoreDBWordIndex(recs, word, words, offs, flat)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dbpack: %w", err)
 	}
-	return ix, int64(len(b)), nil
+	return ix, hw + ho + hp, nil
 }
 
 func uvarintBytes(b []byte) ([]byte, []byte, error) {

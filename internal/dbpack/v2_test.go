@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -69,6 +70,27 @@ func refixV2(blob []byte) []byte {
 	return blob
 }
 
+// blastSection returns the byte offset of the blast section in a valid
+// v2 blob, and blastWords its word count.
+func blastSection(b []byte) int {
+	ns := int(binary.LittleEndian.Uint32(b[12:]))
+	for i := 0; i < ns; i++ {
+		hdr := b[v2FixedHdr+i*v2SecHdr:]
+		if binary.LittleEndian.Uint32(hdr) == secBlast {
+			return int(binary.LittleEndian.Uint64(hdr[8:]))
+		}
+	}
+	panic("no blast section")
+}
+
+func blastWords(b []byte) int { return int(binary.LittleEndian.Uint32(b[blastSection(b):])) }
+
+// blastOffs returns the byte offset of offs[i] in the blast section.
+func blastOffs(b []byte, i int) int { return blastSection(b) + 4 + 4*blastWords(b) + 4*i }
+
+// blastPostings returns the byte offset of the first posting.
+func blastPostings(b []byte) int { return blastSection(b) + 8 + 8*blastWords(b) }
+
 func encodeV2T(t *testing.T, word int) []byte {
 	t.Helper()
 	p, err := Build(testRecords(), word)
@@ -99,8 +121,8 @@ func TestV2RoundTrip(t *testing.T) {
 		if got.Word != word {
 			t.Errorf("word %d round-tripped to %d", word, got.Word)
 		}
-		if got.Info.Version != 2 {
-			t.Errorf("Info.Version = %d, want 2", got.Info.Version)
+		if got.Info.Version != packVersionV2 {
+			t.Errorf("Info.Version = %d, want %d", got.Info.Version, packVersionV2)
 		}
 		if runtime.GOOS == "linux" && got.Info.Mode != LoadMMap {
 			t.Errorf("Info.Mode = %v, want mmap on linux", got.Info.Mode)
@@ -150,17 +172,17 @@ func TestV2RoundTrip(t *testing.T) {
 // length + FNV-1a. If an intentional format change trips this, bump
 // packVersionV2 and re-pin.
 const (
-	goldenV2HeaderHex = "47444d5041434b02020000000800000004000000050000005100000000000000" +
+	goldenV2HeaderHex = "47444d5041434b02030000000800000004000000050000005100000000000000" +
 		"010000000000000000100000000000002f0000000000000016ad4f85406b1274" +
 		"0200000000000000002000000000000030000000000000001e86001c48d59308" +
 		"030000000000000000300000000000005100000000000000ebdfed02cf81de98" +
 		"0400000000000000004000000000000014000000000000007bd1411e87ac06f2" +
 		"0500000000000000005000000000000014000000000000001204c04187e0a778" +
-		"060000000000000000600000000000008c02000000000000b896cc051303df31" +
+		"0600000000000000006000000000000090020000000000006f8df0560a9c7f49" +
 		"0700000000000000007000000000000010000000000000005940ebb4076c3208" +
 		"08000000000000000080000000000000e000000000000000598d000667b99be5"
 	goldenV2BlobLen = 32992
-	goldenV2BlobFNV = uint64(0x4b39df3e33907372)
+	goldenV2BlobFNV = uint64(0x7fbf74693c206465)
 )
 
 func TestV2GoldenHeader(t *testing.T) {
@@ -199,7 +221,7 @@ func TestV2DecodeRejects(t *testing.T) {
 		{"truncated table", func(b []byte) []byte { return b[:v2FixedHdr+8] }},
 		{"truncated sections", func(b []byte) []byte { return b[:pageAlign] }},
 		{"bad version", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[8:], 3)
+			binary.LittleEndian.PutUint32(b[8:], packVersionV2+1)
 			return b
 		}},
 		{"zero sections", func(b []byte) []byte {
@@ -284,7 +306,45 @@ func TestV2DecodeRejects(t *testing.T) {
 		}},
 		{"blast words unsorted", func(b []byte) []byte {
 			s := secOf(secBlast)
+			copy(b[s.off+4:s.off+8], b[s.off+8:s.off+12]) // words[0] = words[1]
+			return refixV2(b)
+		}},
+		{"blast word beyond the k-mer space", func(b []byte) []byte {
+			s := secOf(secBlast)
 			binary.LittleEndian.PutUint32(b[s.off+4:], ^uint32(0)>>1)
+			return refixV2(b)
+		}},
+		{"blast first offset nonzero", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[blastOffs(b, 0):], 1)
+			return refixV2(b)
+		}},
+		{"blast offsets descend", func(b []byte) []byte {
+			// offs[1] jumps to the posting count, so offs[2] < offs[1].
+			last := binary.LittleEndian.Uint32(b[blastOffs(b, blastWords(b)):])
+			binary.LittleEndian.PutUint32(b[blastOffs(b, 1):], last)
+			return refixV2(b)
+		}},
+		{"blast offsets miscount postings", func(b []byte) []byte {
+			at := blastOffs(b, blastWords(b))
+			binary.LittleEndian.PutUint32(b[at:], binary.LittleEndian.Uint32(b[at:])-1)
+			return refixV2(b)
+		}},
+		{"blast offset table truncated", func(b []byte) []byte {
+			// Cut the section inside its offset table.
+			for i := range parseV2Table(t, b) {
+				hdr := b[v2FixedHdr+i*v2SecHdr:]
+				if binary.LittleEndian.Uint32(hdr) == secBlast {
+					binary.LittleEndian.PutUint64(hdr[16:], uint64(4+4*blastWords(b)+8))
+				}
+			}
+			return refixV2(b)
+		}},
+		{"blast posting names a missing record", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[blastPostings(b):], 99)
+			return refixV2(b)
+		}},
+		{"blast posting overruns its record", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[blastPostings(b)+4:], 1<<20)
 			return refixV2(b)
 		}},
 	} {
@@ -292,6 +352,14 @@ func TestV2DecodeRejects(t *testing.T) {
 		if _, err := decodeV2(alignedCopy(blob), Info{}); err == nil {
 			t.Errorf("%s: decodeV2 accepted the mutant", tc.name)
 		}
+	}
+	// The version-2 blast section was a {word, count} table: a re-sealed
+	// version-2 header must be refused, never decoded under the flat
+	// layout, and the error must say how to rebuild the pack.
+	stale := append([]byte(nil), base...)
+	binary.LittleEndian.PutUint32(stale[8:], 2)
+	if _, err := decodeV2(alignedCopy(refixV2(stale)), Info{}); err == nil || !strings.Contains(err.Error(), "genomedsm index") {
+		t.Errorf("stale version-2 pack: err = %v, want a re-index error", err)
 	}
 }
 
@@ -396,6 +464,66 @@ func TestOpenLegacyV1(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Hits, b.Hits) {
 		t.Errorf("legacy pack hits diverged:\n got %+v\nwant %+v", a.Hits, b.Hits)
+	}
+}
+
+// openCost opens path runs times and reports the per-open allocation
+// count and bytes, plus the last open's Info.
+func openCost(t *testing.T, path string, runs int) (allocs, bytes float64, info Info) {
+	t.Helper()
+	open := func() {
+		p, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info = p.Info
+		p.Close()
+	}
+	allocs = testing.AllocsPerRun(runs, open)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		open()
+	}
+	runtime.ReadMemStats(&m1)
+	return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs), info
+}
+
+// TestV2OpenCostIndependentOfIndex pins the zero-copy word index: under
+// mmap, opening a pack with an 11-mer index costs a small constant more
+// than opening the same records without one — no per-word or
+// per-posting allocation — and the mapped index adds nothing to the
+// reported heap share.
+func TestV2OpenCostIndependentOfIndex(t *testing.T) {
+	recs, _ := v2DiffDB(t)
+	paths := map[int]string{}
+	for _, word := range []int{0, 11} {
+		p, err := Build(recs, word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if word != 0 && p.DB.WordIndex().Postings() < 10000 {
+			t.Fatalf("index too small to show scaling: %d postings", p.DB.WordIndex().Postings())
+		}
+		paths[word] = filepath.Join(t.TempDir(), fmt.Sprintf("w%d.pack", word))
+		if err := WriteFileV2(paths[word], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a0, b0, i0 := openCost(t, paths[0], 20)
+	a11, b11, i11 := openCost(t, paths[11], 20)
+	if i11.Mode != LoadMMap || !hostLittleEndian {
+		t.Skipf("zero-copy index needs an mmap load on a little-endian host (mode %v)", i11.Mode)
+	}
+	t.Logf("open: word 0 %.0f allocs %.0f B heap %d; word 11 %.0f allocs %.0f B heap %d", a0, b0, i0.HeapBytes, a11, b11, i11.HeapBytes)
+	if d := a11 - a0; d > 2 {
+		t.Errorf("word-11 open makes %.0f allocations, word-0 open %.0f: the index costs %.0f per open", a11, a0, d)
+	}
+	if d := b11 - b0; d > 512 {
+		t.Errorf("word-11 open allocates %.0f bytes, word-0 open %.0f: the index costs %.0f bytes per open", b11, b0, d)
+	}
+	if d := i11.HeapBytes - i0.HeapBytes; d >= 1024 {
+		t.Errorf("HeapBytes %d with a mapped word index vs %d without: the index counts %d bytes of heap", i11.HeapBytes, i0.HeapBytes, d)
 	}
 }
 
@@ -527,6 +655,14 @@ func FuzzDecodeV2(f *testing.F) {
 	f.Add(uint32(v2FixedHdr), byte(0x80))
 	f.Add(uint32(pageAlign), byte(0x40))
 	f.Add(uint32(len(base)-1), byte(0xff))
+	// The base pack carries a word-4 index: seed flips into its word
+	// count, word array, offset table and postings.
+	f.Add(uint32(blastSection(base)), byte(0x01))
+	f.Add(uint32(blastSection(base)+4), byte(0x02))
+	f.Add(uint32(blastOffs(base, 1)), byte(0x01))
+	f.Add(uint32(blastOffs(base, blastWords(base))), byte(0x04))
+	f.Add(uint32(blastPostings(base)), byte(0x01))
+	f.Add(uint32(blastPostings(base)+4), byte(0x10))
 	f.Fuzz(func(t *testing.T, pos uint32, flip byte) {
 		blob := append([]byte(nil), base...)
 		blob[int(pos)%len(blob)] ^= flip | 1
@@ -552,5 +688,40 @@ func FuzzDecodeV2(f *testing.F) {
 			// validated; anything else had to be caught above.
 			t.Fatal("accepted mutant forced a layout rebuild")
 		}
+		gw, go_, gf := got.DB.WordIndex().Export()
+		ww, wo, wf := want.DB.WordIndex().Export()
+		if !reflect.DeepEqual(gw, ww) || !reflect.DeepEqual(go_, wo) || !reflect.DeepEqual(gf, wf) {
+			t.Fatal("accepted mutant changed the word index")
+		}
 	})
+}
+
+// TestViewOfDecodeFallback checks the allocating decode path of viewOf —
+// the one a big-endian host takes for every mapped array — against the
+// in-place view, by handing it a misaligned copy of the same bytes.
+func TestViewOfDecodeFallback(t *testing.T) {
+	raw := make([]byte, 64)
+	for i := range raw {
+		raw[i] = byte(i*37 + 11)
+	}
+	aligned := alignedCopy(raw)
+	misaligned := append(make([]byte, 1, len(raw)+1), raw...)[1:]
+	check := func(name string, view, dec any, vheap, dheap int64) {
+		t.Helper()
+		if !reflect.DeepEqual(view, dec) {
+			t.Errorf("%s: decoded %v, view %v", name, dec, view)
+		}
+		if vheap != 0 || dheap != int64(len(raw)) {
+			t.Errorf("%s: heap %d for the view, %d for the copy; want 0 and %d", name, vheap, dheap, len(raw))
+		}
+	}
+	v64, h1 := viewOf(aligned, binary.LittleEndian.Uint64)
+	d64, h2 := viewOf(misaligned, binary.LittleEndian.Uint64)
+	check("u64", v64, d64, h1, h2)
+	v32, h1 := viewOf(aligned, binary.LittleEndian.Uint32)
+	d32, h2 := viewOf(misaligned, binary.LittleEndian.Uint32)
+	check("u32", v32, d32, h1, h2)
+	vp, h1 := viewOf(aligned, decodePosting)
+	dp, h2 := viewOf(misaligned, decodePosting)
+	check("postings", vp, dp, h1, h2)
 }

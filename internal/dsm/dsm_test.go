@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"genomedsm/internal/cluster"
@@ -497,5 +498,60 @@ func TestRunPropagatesPanicsAndErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("error not reported")
+	}
+}
+
+// TestLockRoundTripCharge pins what one lock round trip costs on the
+// virtual clock. An uncontended acquire is a full round trip — ACQ to
+// the manager, manager service, GRANT back — and the one-way REL costs
+// the releaser its message processing only. A re-acquire cannot be
+// granted before the manager has processed the REL, so it waits for
+// the REL's arrival plus one service, then pays its own service and the
+// GRANT. The phase-2 lock queue pays exactly this per job pop, so its
+// makespan against the lock-free scattered mapping rests on these
+// charges.
+func TestLockRoundTripCharge(t *testing.T) {
+	cc := cluster.Calibrated2005()
+	sys, err := NewSystem(1, cc, Options{Locks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := cc.Net.MessageCost(msgHeaderBytes)
+	var acquire, release, reacquire float64
+	err = sys.Run(func(n *Node) error {
+		c := n.Clock()
+		t0 := c.Now()
+		if err := n.Acquire(0); err != nil {
+			return err
+		}
+		t1 := c.Now()
+		if err := n.Release(0); err != nil {
+			return err
+		}
+		t2 := c.Now()
+		if err := n.Acquire(0); err != nil {
+			return err
+		}
+		t3 := c.Now()
+		acquire, release, reacquire = t1-t0, t2-t1, t3-t2
+		return n.Release(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
+	if want := 2*msg + cc.ManagerService; !near(acquire, want) {
+		t.Errorf("uncontended acquire charged %gs, want 2×message + service = %gs", acquire, want)
+	}
+	if want := cc.Net.PerMessageCPU; !near(release, want) {
+		t.Errorf("release charged %gs, want the REL's message processing %gs", release, want)
+	}
+	// REL sent at t1 arrives at t1+msg and is serviced by t1+msg+service;
+	// the re-acquire departs one service later and arrives msg after.
+	if want := 2*msg + 2*cc.ManagerService - cc.Net.PerMessageCPU; !near(reacquire, want) {
+		t.Errorf("re-acquire charged %gs, want %gs", reacquire, want)
+	}
+	if got := sys.Breakdowns()[0].Cat[cluster.LockCV]; !near(got, acquire+release+reacquire+cc.Net.PerMessageCPU) {
+		t.Errorf("lock+cv category holds %gs, want every lock charge", got)
 	}
 }

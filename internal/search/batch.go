@@ -237,8 +237,13 @@ func RunBatch(ctx context.Context, queries []BatchQuery, db *DB, opt Options) ([
 			}
 		}(w)
 	}
+	sweep := sweepOrder(states, db, len(groups))
 feed:
-	for gi := range groups {
+	for i := range groups {
+		gi := i
+		if sweep != nil {
+			gi = sweep[i]
+		}
 		select {
 		case work <- gi:
 		case <-ctx.Done():
@@ -320,14 +325,65 @@ feed:
 	return out, nil
 }
 
+// sweepOrder returns the order in which RunBatch hands lane groups to
+// the workers, or nil for the canonical order. When the prefilter has
+// seeded a query's floor, the groups holding its K best-seeded records
+// — the floorTracker entries, the likeliest members of the final top K
+// — go first, in canonical order, and every other group follows in
+// canonical order. Scanning those records first lifts each floor to
+// (or near) its true K-th score after a few groups instead of whenever
+// the sweep happens to reach them, so the rest of the scan skips or
+// abandons against the tightest floor.
+//
+// The order changes cost only. Pruning is exact under any floor
+// schedule — the same property worker interleaving and shard gossip
+// rely on — and the merged top K is ordered by (score desc, index asc),
+// which does not depend on the order groups were visited in.
+func sweepOrder(states []*qstate, db *DB, ngroups int) []int {
+	var seeded []bool
+	for _, st := range states {
+		if st.ft == nil {
+			continue
+		}
+		// Before the scan starts, the only floor evidence is the
+		// prefilter's seed lower bounds.
+		for _, e := range st.ft.entries {
+			if seeded == nil {
+				seeded = make([]bool, len(db.recs))
+			}
+			seeded[e.index] = true
+		}
+	}
+	if seeded == nil {
+		return nil
+	}
+	first := make([]bool, ngroups)
+	for rank, idx := range db.order {
+		if seeded[idx] {
+			first[rank/bio.PackedLanes8] = true
+		}
+	}
+	order := make([]int, 0, ngroups)
+	for _, lead := range []bool{true, false} {
+		for gi, f := range first {
+			if f == lead {
+				order = append(order, gi)
+			}
+		}
+	}
+	return order
+}
+
 // groupProf lazily builds — at most once per work item — the
 // query-independent int8 packed profile of one full lane group, shared
 // by every query of the batch. With a DB layout attached the build
-// reads the precomputed interleaved words (the pack-v2 zero-copy path);
-// otherwise it interleaves the record bytes once instead of once per
-// query. Either build is bit-identical to the profile the kernels would
-// construct per scan (TestPackedProfileFromWords pins the equivalence),
-// so sharing changes cost only, never results.
+// refills the worker's one profile buffer from the precomputed
+// interleaved words (the pack-v2 zero-copy path, no allocation once the
+// buffer has grown to the longest group); otherwise it interleaves the
+// record bytes once instead of once per query. Either build is
+// bit-identical to the profile the kernels would construct per scan
+// (TestPackedProfileFromWords pins the equivalence), so sharing changes
+// cost only, never results.
 type groupProf struct {
 	words   []uint64       // the group's layout words; nil without a layout
 	targets []bio.Sequence // full group targets in rank order
@@ -335,6 +391,7 @@ type groupProf struct {
 	sc      bio.Scoring
 	prof    *bio.PackedProfile
 	tried   bool
+	buf     bio.PackedProfile // reused by every from-words build
 }
 
 // reset points the holder at a new group and drops any cached profile.
@@ -356,7 +413,9 @@ func (g *groupProf) profile() *bio.PackedProfile {
 	if !g.tried {
 		g.tried = true
 		if g.words != nil {
-			g.prof = bio.NewPackedProfile8FromWords(g.words, g.lens, g.sc)
+			if g.buf.Reset8FromWords(g.words, g.lens, g.sc) {
+				g.prof = &g.buf
+			}
 		} else {
 			g.prof = bio.NewPackedProfile8(g.targets, g.sc)
 		}
@@ -398,7 +457,7 @@ func scanGroupFor(al *swar.Aligner, st *qstate, db *DB, group []int, sc bio.Scor
 			}
 			kept = append(kept, idx)
 		}
-		ab = &swar.Bound{Below: th, Query: st.qb, Every: opt.AbandonEvery}
+		ab = &swar.Bound{Below: th, Query: st.qb}
 	} else {
 		kept = append(kept, group...)
 	}

@@ -14,9 +14,10 @@ import (
 //     O(1) upper bound per record (best-case ungapped sum capped by
 //     record and query length); records strictly below the shared
 //     top-K floor never touch a kernel.
-//   stage 2 — mid-scan abandon: the floor is threaded into the packed
-//     kernels as a swar.Bound; every cadence rows the kernel checks
-//     whether any lane can still reach it and bails when none can.
+//   stage 2 — mid-scan abandon: the floor is threaded into the kernels
+//     as a swar.Bound; from the first row where abandoning is possible
+//     the kernel checks after every row whether any lane can still
+//     reach it and bails when none can.
 //   stage 3 — optional seed-and-extend prefilter: blast word seeding
 //     plus ungapped X-drop extension yields an exact LOWER bound per
 //     record, and the K-th best lower bound pre-seeds the floor before

@@ -1,7 +1,9 @@
 package search
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -295,5 +297,61 @@ func TestFloorTracker(t *testing.T) {
 	ft.push(20, 2)
 	if ft.get() != 12 {
 		t.Fatalf("floor %d, want 12", ft.get())
+	}
+}
+
+// TestSeedOrderedSweep pins the seed-ordered sweep: the planted
+// homolog is the shortest record, so it sits in the last canonical lane
+// group, yet with the prefilter on a single worker scans that group
+// first. The floor then reaches the homolog's exact score after one
+// group, and every later record is skipped or abandoned — only the
+// homolog's group (at most 8 lanes) completes. Hits must still equal an
+// unpruned fixed-route scan.
+func TestSeedOrderedSweep(t *testing.T) {
+	g := bio.NewGenerator(61)
+	q := g.Random(200)
+	recs := make([]bio.Record, 45)
+	for i := range recs {
+		recs[i] = bio.Record{ID: fmt.Sprintf("r%02d", i), Seq: g.Random(260 + 7*i)}
+	}
+	// The homolog is q with one inserted base after every 14: each
+	// 14-base run shares exact 11-mers with q, so the prefilter seeds
+	// it, but every ungapped extension stops at the next insertion — the
+	// seed lower bound stays near random-record scores while the exact
+	// gapped score is far above them. Without seed ordering the floor
+	// therefore stays low until the sweep reaches the last group.
+	hom := 17
+	var homSeq bio.Sequence
+	for i := 0; i < len(q); i += 14 {
+		homSeq = append(homSeq, q[i:min(i+14, len(q))]...)
+		homSeq = append(homSeq, g.Random(1)...)
+	}
+	recs[hom].Seq = homSeq
+	db := NewDB(recs)
+	groups := db.groups()
+	last := groups[len(groups)-1]
+	if !slices.Contains(last, hom) {
+		t.Fatalf("homolog %d (len %d) not in the last lane group %v", hom, len(recs[hom].Seq), last)
+	}
+
+	want, err := RunCtx(context.Background(), q, db, Options{TopK: 1, Dispatch: "fixed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Hits) != 1 || want.Hits[0].Index != hom {
+		t.Fatalf("reference top hit %+v, want the homolog %d", want.Hits, hom)
+	}
+	got, err := RunCtx(context.Background(), q, db, Options{TopK: 1, Workers: 1, Prune: true, Prefilter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameHits(t, "seed-ordered", got.Hits, want.Hits)
+	t.Logf("top score %d; prune stats %+v", want.Hits[0].Score, *got.Prune)
+	if got.Prune.Scanned > bio.PackedLanes8 {
+		t.Errorf("%d records scanned to completion, want ≤ %d (only the homolog's group); stats %+v",
+			got.Prune.Scanned, bio.PackedLanes8, *got.Prune)
+	}
+	if got.Prune.FloorFinal != want.Hits[0].Score {
+		t.Errorf("final floor %d, want the homolog's score %d", got.Prune.FloorFinal, want.Hits[0].Score)
 	}
 }

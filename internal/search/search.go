@@ -58,9 +58,6 @@ type Options struct {
 	Prefilter bool
 	// PrefilterWord is the prefilter seed word size (default 11).
 	PrefilterWord int
-	// AbandonEvery is the mid-scan abandon check cadence in query rows
-	// (default swar.DefaultAbandonEvery).
-	AbandonEvery int
 	// Router, when non-nil, routes this scan's lane groups instead of a
 	// router built from Dispatch: a resident server shares one
 	// calibrated router — and its route statistics — across requests,

@@ -481,8 +481,8 @@ func TestStatszPackInfo(t *testing.T) {
 	if runtime.GOOS == "linux" && st.Pack.Mode != "mmap" {
 		t.Errorf("pack mode %q, want mmap on linux", st.Pack.Mode)
 	}
-	if st.Pack.Version != 2 {
-		t.Errorf("pack version %d, want 2", st.Pack.Version)
+	if st.Pack.Version != 3 {
+		t.Errorf("pack version %d, want 3", st.Pack.Version)
 	}
 	if st.Pack.Mode == "mmap" && st.Pack.MappedBytes == 0 {
 		t.Error("mmap-backed server reports 0 mapped bytes")

@@ -17,8 +17,7 @@ func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, ro
 	if m == 0 || n == 0 {
 		return 0, m, false
 	}
-	every := ab.cadence()
-	next := every
+	from := ab.firstRow()
 	prof := bio.NewProfile(t, sc)
 	gap := int32(sc.Gap)
 	prev := make([]int32, n+1)
@@ -43,11 +42,8 @@ func ScalarScoreBounded(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (score, ro
 			best = bio.Max32(best, v)
 		}
 		prev, cur = cur, prev
-		if next != 0 && i == next {
-			next += every
-			if int(best)+ab.Query.SuffixBound(i) < ab.Below {
-				return 0, i, true
-			}
+		if ab.abandon(from, i, int(best)) {
+			return 0, i, true
 		}
 	}
 	return int(best), m, false

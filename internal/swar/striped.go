@@ -278,8 +278,7 @@ func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int,
 	if wide {
 		satMask = hi16
 	}
-	every := ab.cadence()
-	next := every
+	from := ab.firstRow()
 	var best, sat uint64
 	var res Pair
 	for i := 1; i <= len(s); i++ {
@@ -310,14 +309,11 @@ func (a *Aligner) stripedScan(s bio.Sequence, prof *bio.StripedProfile, gap int,
 			}
 		}
 		prev, cur = cur, prev
-		if next != 0 && i == next {
-			next += every
-			// res.Score tracks reduce(best) exactly (best only grows and
-			// every strict improvement updates it), so no extra fold.
-			if res.Score+ab.Query.SuffixBound(i) < ab.Below {
-				a.sprev, a.scur = prev, cur
-				return Pair{}, i, true, true
-			}
+		// res.Score tracks reduce(best) exactly (best only grows and every
+		// strict improvement updates it), so no extra fold.
+		if ab.abandon(from, i, res.Score) {
+			a.sprev, a.scur = prev, cur
+			return Pair{}, i, true, true
 		}
 	}
 	a.sprev, a.scur = prev, cur
@@ -363,8 +359,7 @@ func (a *Aligner) scalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pa
 	if m == 0 || n == 0 {
 		return Pair{}, m, false
 	}
-	every := ab.cadence()
-	next := every
+	from := ab.firstRow()
 	prof := bio.NewProfile(t, sc)
 	gap := int32(sc.Gap)
 	prev := make([]int32, n+1)
@@ -394,11 +389,8 @@ func (a *Aligner) scalarPair(s, t bio.Sequence, sc bio.Scoring, ab *Bound) (p Pa
 			res.Score, res.I, res.J = int(rowBest), i, rowJ
 		}
 		prev, cur = cur, prev
-		if next != 0 && i == next {
-			next += every
-			if int(best)+ab.Query.SuffixBound(i) < ab.Below {
-				return Pair{}, i, true
-			}
+		if ab.abandon(from, i, int(best)) {
+			return Pair{}, i, true
 		}
 	}
 	return res, m, false

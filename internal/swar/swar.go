@@ -199,8 +199,7 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 	if wide {
 		satMask = hi16
 	}
-	every := ab.cadence()
-	next := every
+	from := ab.firstRow()
 	for i := 0; i < len(q); i++ {
 		c := q[i]
 		if wide {
@@ -209,19 +208,16 @@ func (a *Aligner) scanPacked(q bio.Sequence, prof *bio.PackedProfile, gap int, a
 			best, sat = row8(prev, cur, prof.PlusRow(c), prof.MinusRow(c), gapV, best, sat)
 		}
 		prev, cur = cur, prev
-		if next != 0 && i+1 == next {
-			next += every
-			// A saturated lane's running maximum is untrustworthy, so it
-			// is never abandon evidence; the wider retry re-checks.
-			if sat&satMask == 0 {
-				m := reduce8(best)
-				if wide {
-					m = reduce16(best)
-				}
-				if m+ab.Query.SuffixBound(i+1) < ab.Below {
-					a.prev, a.cur = prev, cur
-					return best, sat, i + 1, true
-				}
+		// A saturated lane's running maximum is untrustworthy, so it is
+		// never abandon evidence; the wider retry re-checks.
+		if from != 0 && i+1 >= from && sat&satMask == 0 {
+			m := reduce8(best)
+			if wide {
+				m = reduce16(best)
+			}
+			if ab.abandon(from, i+1, m) {
+				a.prev, a.cur = prev, cur
+				return best, sat, i + 1, true
 			}
 		}
 	}

@@ -376,3 +376,60 @@ func TestScoresManyLengths(t *testing.T) {
 	}
 	checkScores(t, "many-lengths", q, targets, sc)
 }
+
+// TestAbandonRow pins the shared abandon rule on a constructed case:
+// every bounded kernel — packed int8 and int16, striped, scalar — stops
+// at the first row where running maximum + remaining suffix falls
+// strictly below the threshold, so all report the same Rows.
+//
+// q = (ACGT)×25 against a poly-T target: a local alignment scores at
+// most 1 (T then a mismatch), reached at row 4. Under +1 matches the
+// suffix bound after r rows is 100−r, so with Below = 20 the first
+// possible row is 81 (suffix 19) and the test first succeeds at row 82
+// (1 + 18 < 20). A fixed 64-row cadence would have checked row 64 only
+// and scanned all 100 rows.
+func TestAbandonRow(t *testing.T) {
+	q := bio.Sequence("ACGT")
+	for len(q) < 100 {
+		q = append(q, "ACGT"...)
+	}
+	poly := make(bio.Sequence, 70)
+	for i := range poly {
+		poly[i] = 'T'
+	}
+	sc := bio.DefaultScoring()
+	ab := &swar.Bound{Below: 20, Query: bio.NewQueryBound(q, sc)}
+	const wantRows = 82
+
+	var al swar.Aligner
+	for _, rung := range []swar.Rung{swar.Rung8, swar.Rung16, swar.RungScalar} {
+		res, err := al.Ladder(q, []bio.Sequence{poly}, sc, rung, nil, ab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Pruned[0] || res.Rows[0] != wantRows {
+			t.Errorf("ladder from rung %d: pruned %v after %d rows, want pruned after %d", rung, res.Pruned[0], res.Rows[0], wantRows)
+		}
+	}
+	if _, rows, pruned := al.StripedScoreBounded(q, poly, sc, ab); !pruned || rows != wantRows {
+		t.Errorf("striped: pruned %v after %d rows, want pruned after %d", pruned, rows, wantRows)
+	}
+	if _, rows, pruned := swar.ScalarScoreBounded(q, poly, sc, ab); !pruned || rows != wantRows {
+		t.Errorf("scalar: pruned %v after %d rows, want pruned after %d", pruned, rows, wantRows)
+	}
+
+	// A target that reaches the threshold is never abandoned: the copy
+	// scores 100, and every kernel runs all rows to the exact score.
+	for _, rung := range []swar.Rung{swar.Rung16, swar.RungScalar} {
+		res, err := al.Ladder(q, []bio.Sequence{q}, sc, rung, nil, ab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pruned[0] || res.Rows[0] != len(q) || res.Scores[0] != len(q) {
+			t.Errorf("identity from rung %d: pruned %v rows %d score %d", rung, res.Pruned[0], res.Rows[0], res.Scores[0])
+		}
+	}
+	if p, rows, pruned := al.StripedScoreBounded(q, q, sc, ab); pruned || rows != len(q) || p.Score != len(q) {
+		t.Errorf("identity striped: pruned %v rows %d score %d", pruned, rows, p.Score)
+	}
+}

@@ -184,8 +184,14 @@ echo "$statsz" | grep -q '"served": *1' ||
 echo "$statsz" | grep -q '"mode": *"mmap"' ||
     { echo "e2e FAILED: statsz pack mode is not mmap"
       echo "$statsz"; kill "$serve_pid" 2>/dev/null; exit 1; }
-echo "$statsz" | grep -q '"version": *2' ||
-    { echo "e2e FAILED: statsz pack version is not 2"
+# The expected version is read from the format constant, so a format
+# bump cannot leave this check behind.
+packver=$(sed -n 's/^[[:space:]]*packVersionV2 *= *\([0-9][0-9]*\).*/\1/p' internal/dbpack/v2.go)
+[ -n "$packver" ] ||
+    { echo "e2e FAILED: packVersionV2 not found in internal/dbpack/v2.go"
+      kill "$serve_pid" 2>/dev/null; exit 1; }
+echo "$statsz" | grep -q "\"version\": *$packver[,}]" ||
+    { echo "e2e FAILED: statsz pack version is not $packver"
       echo "$statsz"; kill "$serve_pid" 2>/dev/null; exit 1; }
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "e2e FAILED: serve exited non-zero after SIGTERM"
